@@ -246,7 +246,7 @@ class SecureDatabase {
   /// lives): row plaintexts and index point-lookup results, sharded-LRU,
   /// secure-wiped on eviction, epoch-invalidated by RotateMasterKey and
   /// emptied by CloseSession. Exposed for benches/tests (stats, WipeAll
-  /// between cold/hot runs) and for the query engine's cost model.
+  /// between cold/hot runs).
   DecryptedBlockCache* decrypted_cache() const { return dcache_.get(); }
 
   /// Degree of parallelism for the read-only query paths (index row

@@ -120,15 +120,10 @@ StatusOr<Value> ComputeAggregate(
 
 }  // namespace
 
-StatusOr<AccessPlan> QueryEngine::PlanFor(
-    const SecureDatabase::TableState& state, const ExprPtr& where) const {
-  const obs::StageTimer plan_timer(Metrics().plan_ns, "query.plan");
-  if (where != nullptr) {
-    SDBENC_RETURN_IF_ERROR(
-        where->Validate(state.encrypted_table->table().schema()));
-  }
-  const auto has_index = [&state](const std::string& column) {
-    const auto& schema = state.encrypted_table->table().schema();
+AccessPlan PlanForTable(const SecureDatabase::TableState& state,
+                        const ExprPtr& where, PlannerMode mode) {
+  const Schema& schema = state.encrypted_table->table().schema();
+  const auto has_index = [&](const std::string& column) {
     const auto col = schema.FindColumn(column);
     if (!col.ok()) return false;
     for (const auto& index_state : state.indexes) {
@@ -138,23 +133,21 @@ StatusOr<AccessPlan> QueryEngine::PlanFor(
   };
   PlannerContext ctx;
   ctx.stats = &state.stats;
-  ctx.schema = &state.encrypted_table->table().schema();
+  ctx.schema = &schema;
   ctx.index_order = state.index_order;
-  ctx.params = CostParamsFor(state.aead_alg);
-  ctx.mode = planner_mode_;
+  ctx.aead = state.aead_alg;
+  ctx.mode = mode;
   return PlanAccessCosted(where, has_index, ctx);
 }
 
-CostModelParams QueryEngine::CostParamsFor(AeadAlgorithm alg) const {
-  const MutexLock lock(params_mu_);
-  if (cached_params_uses_left_ == 0 || cached_params_alg_ != alg) {
-    cached_params_ =
-        GatherCostParams(alg, db_->decrypted_cache(), parallelism_);
-    cached_params_alg_ = alg;
-    cached_params_uses_left_ = kParamRefreshStatements;
+StatusOr<AccessPlan> QueryEngine::PlanFor(
+    const SecureDatabase::TableState& state, const ExprPtr& where) const {
+  const obs::StageTimer plan_timer(Metrics().plan_ns, "query.plan");
+  if (where != nullptr) {
+    SDBENC_RETURN_IF_ERROR(
+        where->Validate(state.encrypted_table->table().schema()));
   }
-  --cached_params_uses_left_;
-  return cached_params_;
+  return PlanForTable(state, where, planner_mode_);
 }
 
 StatusOr<std::vector<uint64_t>> QueryEngine::MatchingRows(

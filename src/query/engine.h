@@ -7,10 +7,9 @@
 
 #include "core/secure_database.h"
 #include "obs/trace.h"
-#include "query/cost_model.h"
 #include "query/expr.h"
 #include "query/planner.h"
-#include "util/thread_annotations.h"
+#include "util/thread_pool.h"
 
 namespace sdbenc {
 
@@ -65,6 +64,12 @@ struct QueryResult {
   obs::LeakageProfile leakage;
 };
 
+/// Plans `where` against one table exactly as QueryEngine does, from the
+/// table's own state alone: its sealed statistics, schema, index set and
+/// order, and AEAD codec. `where` must already validate against the schema.
+AccessPlan PlanForTable(const SecureDatabase::TableState& state,
+                        const ExprPtr& where, PlannerMode mode);
+
 /// Executes typed statements against a SecureDatabase, planning predicates
 /// onto the encrypted indexes where possible (see PlanAccess) and falling
 /// back to decrypting scans otherwise. All decryption happens inside the
@@ -75,14 +80,15 @@ class QueryEngine {
   /// `db` must outlive the engine. `par` sets the thread count for the
   /// decrypting phases — full-table residual scans and result-row
   /// materialisation — which run row-parallel over read-only state; results
-  /// are identical at every thread count (default: hardware concurrency).
+  /// and plans are identical at every thread count (default: hardware
+  /// concurrency).
   explicit QueryEngine(SecureDatabase* db,
                        const Parallelism& par = Parallelism())
       : db_(db), parallelism_(par) {}
 
   /// Access-path selection policy. kAdaptive (the default) prices the
-  /// index path against a full scan with live statistics and system
-  /// measurements; the forced modes pin one path for benches and tests.
+  /// index path against a full scan from the table's statistics and codec;
+  /// the forced modes pin one path for benches and tests.
   /// Results are identical in every mode — only the cost changes.
   void set_planner_mode(PlannerMode mode) { planner_mode_ = mode; }
   PlannerMode planner_mode() const { return planner_mode_; }
@@ -118,26 +124,9 @@ class QueryEngine {
   StatusOr<AccessPlan> PlanFor(const SecureDatabase::TableState& state,
                                const ExprPtr& where) const;
 
-  /// Current cost-model inputs for `alg`, refreshed from the live system
-  /// every kParamRefreshStatements statements. Hit rates drift slowly, and
-  /// gathering them fresh (three registry lookups plus a sweep over every
-  /// cache shard) would otherwise dominate cache-hot point queries.
-  CostModelParams CostParamsFor(AeadAlgorithm alg) const;
-
-  static constexpr uint64_t kParamRefreshStatements = 32;
-
   SecureDatabase* db_;
   Parallelism parallelism_;
   PlannerMode planner_mode_ = PlannerMode::kAdaptive;
-
-  // Held across GatherCostParams, which sweeps the cache shards and the
-  // metrics registry — hence ranked below both (kQueryParams < kCacheShard
-  // < kMetricsRegistry).
-  mutable Mutex params_mu_{lockrank::kQueryParams, "query.params"};
-  mutable CostModelParams cached_params_ SDB_GUARDED_BY(params_mu_);
-  mutable std::optional<AeadAlgorithm> cached_params_alg_
-      SDB_GUARDED_BY(params_mu_);
-  mutable uint64_t cached_params_uses_left_ SDB_GUARDED_BY(params_mu_) = 0;
 };
 
 }  // namespace sdbenc

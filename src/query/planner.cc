@@ -184,17 +184,102 @@ namespace {
 constexpr double kDefaultEqFraction = 0.01;
 constexpr double kDefaultRangeFraction = 1.0 / 3.0;
 
-/// Fixed per-statement overhead keeps tiny tables from flapping between
-/// paths on noise.
-constexpr double kPlanOverheadNs = 20000.0;
+/// One AEAD open's block-cipher invocations per codec (paper §4, measured
+/// fits in EXPERIMENTS E8): `msg` calls per plaintext chunk, `ad` calls per
+/// header chunk, plus `fixed` calls per message, with `chunk` octets per
+/// call. test_aead pins these against the instrumented cipher.
+struct OpenFormula {
+  uint64_t msg;
+  uint64_t ad;
+  uint64_t fixed;
+  uint64_t chunk;
+};
 
-/// Per-row bookkeeping of the scan loop besides the decrypts (tombstone
-/// check, compare, compaction).
-constexpr double kScanRowOverheadNs = 150.0;
+constexpr OpenFormula FormulaFor(AeadAlgorithm alg) {
+  switch (alg) {
+    case AeadAlgorithm::kEax:
+      // CTR + OMAC over the ciphertext, OMAC over the header: the paper's
+      // 2n+m+1, plus the one-block tweak each OMAC pass prepends here.
+      return {2, 1, 4, 16};
+    case AeadAlgorithm::kOcbPmac:
+      return {1, 1, 2, 16};  // paper n+m+5; the offsets are per-key here
+    case AeadAlgorithm::kCcfb:
+      return {1, 1, 2, 12};  // 96 payload bits per call, header included
+    case AeadAlgorithm::kEtm:
+      return {1, 0, 0, 16};  // CTR only; HMAC-SHA-256 is no cipher call
+    case AeadAlgorithm::kGcm:
+      return {1, 0, 1, 16};  // CTR + tag mask; GHASH is no cipher call
+    case AeadAlgorithm::kSiv:
+      return {2, 1, 1, 16};  // S2V (CMAC) over header and message + CTR
+  }
+  return {2, 1, 4, 16};
+}
+
+/// Costs below are in cipher blocks. The AEAD work is counted exactly; the
+/// rest of the engine's per-item work is priced as fixed block equivalents.
+/// One open's fixed work (nonce/tag split, tag compare, buffers) costs as
+/// much as 20 (GCM) to 34 (EAX) cipher calls on a 4-core AES-NI x86-64
+/// host and 1-2 with portable AES; the constant sits between, since it
+/// only has to rank the index against the scan.
+constexpr double kOpenOverheadBlocks = 16.0;
+
+/// Per candidate row either path visits: tombstone check, predicate
+/// evaluation, compaction.
+constexpr double kRowLoopBlocks = 2.0;
+
+/// Re-reading one cell the statement just decrypted. A residual filter
+/// leaves each candidate's plaintext in the decrypted-block cache, so the
+/// materialise pass over the matches pays deserialisation only.
+constexpr double kCachedCellBlocks = 4.0;
+
+/// Fixed per-statement overhead keeps tiny tables from flapping between
+/// paths.
+constexpr double kStatementBlocks = 256.0;
+
+/// The shapes opens are priced at. A cell's header is its 20-octet
+/// CellAddress. Index entries are priced as leaf entries over an integer
+/// key: be64(Ref_T) || 9-octet comparable key, under Ref_S (28 octets) ||
+/// leaf marker || Ref_I (8 octets).
+constexpr size_t kCellAdBytes = 20;
+constexpr size_t kEntryPlaintextBytes = 17;
+constexpr size_t kEntryAdBytes = 37;
 
 /// Demotion hysteresis: prefer the index unless the priced scan undercuts
 /// it by at least this factor (see the comment at the demotion site).
 constexpr double kScanDemotionFactor = 0.95;
+
+/// Per-table unit prices, all in cipher blocks.
+struct TablePrices {
+  double rows = 0.0;        // live rows
+  double row_open = 0.0;    // opening every cell of one row
+  double cached_row = 0.0;  // re-reading one row from the cache
+  double entry_open = 0.0;  // opening one index entry
+  double order = 2.0;
+};
+
+TablePrices PricesFor(const PlannerContext& ctx) {
+  TablePrices p;
+  const size_t columns =
+      ctx.schema != nullptr ? std::max<size_t>(ctx.schema->num_columns(), 1)
+                            : 4;
+  const double row_bytes =
+      ctx.stats != nullptr && ctx.stats->avg_row_bytes() > 0.0
+          ? ctx.stats->avg_row_bytes()
+          : 64.0;
+  const auto cell_bytes = static_cast<size_t>(
+      std::ceil(row_bytes / static_cast<double>(columns)));
+  const auto open = [&](size_t plaintext, size_t ad) {
+    return static_cast<double>(AeadOpenBlocks(ctx.aead, plaintext, ad)) +
+           kOpenOverheadBlocks;
+  };
+  p.rows =
+      ctx.stats != nullptr ? static_cast<double>(ctx.stats->row_count()) : 0.0;
+  p.row_open = static_cast<double>(columns) * open(cell_bytes, kCellAdBytes);
+  p.cached_row = static_cast<double>(columns) * kCachedCellBlocks;
+  p.entry_open = open(kEntryPlaintextBytes, kEntryAdBytes);
+  p.order = static_cast<double>(std::max<size_t>(ctx.index_order, 2));
+  return p;
+}
 
 double EstimatedFraction(const AccessPlan& plan, const PlannerContext& ctx) {
   if (ctx.stats == nullptr || ctx.schema == nullptr) {
@@ -213,70 +298,50 @@ double EstimatedFraction(const AccessPlan& plan, const PlannerContext& ctx) {
 }
 
 /// A full scan with a predicate is two passes over the rows: the filter
-/// pass fetches and evaluates every live row, then materialisation
-/// re-touches the `est_out` matches — by then cache-resident, so the
-/// second pass pays deserialisation only (RowReuseNs). Without a predicate
-/// there is no filter pass and materialisation does the real fetches.
-double ScanCost(double n, double est_out, bool has_residual,
-                double row_bytes, size_t num_columns,
-                const PlannerContext& ctx) {
-  const double row_fetch = ctx.params.RowFetchNs(row_bytes, num_columns);
-  const double fetch_work =
-      has_residual
-          ? n * row_fetch + est_out * ctx.params.RowReuseNs(num_columns)
-          : n * row_fetch;
-  return fetch_work / ctx.params.EffectiveParallelism(n) +
-         n * kScanRowOverheadNs + kPlanOverheadNs;
+/// pass opens and evaluates every live row, then materialisation re-reads
+/// the `est_out` matches from the cache. Without a predicate there is no
+/// filter pass and materialisation does the real opens.
+double ScanCost(const TablePrices& p, double est_out, bool has_residual) {
+  return p.rows * (p.row_open + kRowLoopBlocks) +
+         (has_residual ? est_out * p.cached_row : 0.0) + kStatementBlocks;
 }
 
-double IndexCost(double n, double est_rows, bool has_residual,
-                 double row_bytes, size_t num_columns,
-                 const PlannerContext& ctx) {
-  const double order = static_cast<double>(std::max<size_t>(ctx.index_order,
-                                                            2));
-  // Height of the tree: log_order(n), at least one level. Each visited
-  // node decodes up to `order` entries; the leaf walk decodes one entry
-  // per produced row.
-  const double height =
-      std::max(1.0, std::ceil(std::log(std::max(n, 2.0)) / std::log(order)));
-  const double entry = ctx.params.IndexEntryNs();
-  const double row_fetch = ctx.params.RowFetchNs(row_bytes, num_columns);
-  // A residual adds the same two-pass shape as the scan: fetch every index
-  // candidate to filter it, then re-materialise the survivors (bounded by
-  // est_rows) from the cache.
-  const double fetch_work =
-      has_residual
-          ? est_rows * (row_fetch + ctx.params.RowReuseNs(num_columns))
-          : est_rows * row_fetch;
-  return height * order * entry + est_rows * entry +
-         fetch_work / ctx.params.EffectiveParallelism(est_rows) +
-         kPlanOverheadNs;
+/// The walk opens `order` entries per level of a log_order(n)-high tree,
+/// then one leaf entry per produced row; each candidate row is opened once
+/// and, under a residual, re-read from the cache for materialisation.
+double IndexCost(const TablePrices& p, double est_rows, bool has_residual) {
+  const double height = std::max(
+      1.0, std::ceil(std::log(std::max(p.rows, 2.0)) / std::log(p.order)));
+  return (height * p.order + est_rows) * p.entry_open +
+         est_rows * (p.row_open + kRowLoopBlocks) +
+         (has_residual ? est_rows * p.cached_row : 0.0) + kStatementBlocks;
 }
 
 }  // namespace
+
+uint64_t AeadOpenBlocks(AeadAlgorithm alg, size_t plaintext_bytes,
+                        size_t ad_bytes) {
+  const OpenFormula f = FormulaFor(alg);
+  const auto chunks = [&f](size_t bytes) {
+    return (static_cast<uint64_t>(bytes) + f.chunk - 1) / f.chunk;
+  };
+  return f.msg * chunks(plaintext_bytes) + f.ad * chunks(ad_bytes) + f.fixed;
+}
 
 AccessPlan PlanAccessCosted(
     const ExprPtr& predicate,
     const std::function<bool(const std::string&)>& has_index,
     const PlannerContext& ctx) {
   AccessPlan indexed = PlanAccess(predicate, has_index);
-
-  const double n =
-      ctx.stats != nullptr ? static_cast<double>(ctx.stats->row_count()) : 0.0;
-  const double row_bytes =
-      ctx.stats != nullptr && ctx.stats->avg_row_bytes() > 0.0
-          ? ctx.stats->avg_row_bytes()
-          : 64.0;
-  const size_t num_columns =
-      ctx.schema != nullptr ? ctx.schema->num_columns() : 4;
+  const TablePrices prices = PricesFor(ctx);
+  const double n = prices.rows;
 
   // Nothing sargable (or forced): the full scan is the only path.
   if (indexed.kind == AccessPlan::Kind::kFullScan ||
       ctx.mode == PlannerMode::kForceScan) {
     AccessPlan plan;
     plan.residual = predicate;
-    plan.cost = ScanCost(n, n, predicate != nullptr, row_bytes, num_columns,
-                         ctx);
+    plan.cost = ScanCost(prices, n, predicate != nullptr);
     plan.est_rows = n;
     return plan;
   }
@@ -285,11 +350,9 @@ AccessPlan PlanAccessCosted(
   const double est_rows = std::min(n, std::max(fraction * n, 1.0));
   // The competing scan would keep the whole predicate as its residual and
   // emit the same est_rows matches.
-  const double scan_cost =
-      ScanCost(n, est_rows, predicate != nullptr, row_bytes, num_columns, ctx);
+  const double scan_cost = ScanCost(prices, est_rows, predicate != nullptr);
   const double index_cost =
-      IndexCost(n, est_rows, indexed.residual != nullptr, row_bytes,
-                num_columns, ctx);
+      IndexCost(prices, est_rows, indexed.residual != nullptr);
   indexed.cost = index_cost;
   indexed.est_rows = est_rows;
   if (ctx.mode == PlannerMode::kForceIndex) return indexed;
@@ -297,11 +360,9 @@ AccessPlan PlanAccessCosted(
   // Hysteresis: only demote to a scan when it is clearly cheaper, keeping
   // the paper-faithful index path on ties and near-ties. The margin must
   // stay mild: even a range covering the whole table prices the index at
-  // only ~1.3x the scan (both decrypt every candidate row; the index merely
-  // adds an entry decode per produced row), and the two-pass terms shared
-  // by both paths dilute the ratio further, so a large factor could never
-  // fire. Wide ranges over most of the table qualify; selective predicates
-  // never do.
+  // only the scan plus one entry open per row (both open every candidate
+  // row), so a large factor could never fire. Wide ranges over most of the
+  // table qualify; selective predicates never do.
   if (scan_cost < kScanDemotionFactor * index_cost) {
     AccessPlan plan;
     plan.residual = predicate;

@@ -56,10 +56,6 @@ inline constexpr uint32_t kServerPending = 16;    // Server::pending_mu_
 inline constexpr uint32_t kServerTenantDb = 24;   // TenantState::db_mu
 inline constexpr uint32_t kServerTenantAudit = 32;  // TenantState::audit_mu
 
-// -- query layer -----------------------------------------------------------
-inline constexpr uint32_t kQueryParams = 48;      // QueryEngine::params_mu_
-inline constexpr uint32_t kCostCalibration = 52;  // cost_model calibration
-
 // -- thread pool -----------------------------------------------------------
 inline constexpr uint32_t kPoolQueue = 56;        // ThreadPool::mu_
 

@@ -1,7 +1,8 @@
 // Adaptive query processing (DESIGN §13): the decrypted-block cache's
 // security contract (secure wipe on eviction, epoch invalidation on key
 // rotation), the incremental table statistics, the cost-based planner's
-// mode behaviour, and the version-2 catalog round-trip of sealed stats.
+// mode behaviour and tenant isolation, and the version-2 catalog
+// round-trip of sealed stats.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "core/secure_database.h"
 #include "db/column_stats.h"
 #include "db/serialize.h"
+#include "obs/metrics.h"
 #include "query/engine.h"
 #include "query/planner.h"
 #include "storage/decrypted_cache.h"
@@ -191,7 +193,9 @@ TEST(TableStatisticsTest, SelectivityEstimates) {
 
 // ------------------------------------------------- adaptive planning + cache
 
-class AdaptiveQueryTest : public ::testing::Test {
+// Parameterised over the engine's thread count (1, 2, 4, 8): the planner
+// never reads it, so every plan assertion holds at each width.
+class AdaptiveQueryTest : public ::testing::TestWithParam<size_t> {
  protected:
   static constexpr int kRows = 2000;
 
@@ -211,7 +215,8 @@ class AdaptiveQueryTest : public ::testing::Test {
                       Value::Str("payload-" + std::to_string(i))});
     }
     EXPECT_TRUE(db_->BulkInsert("t", rows).ok());
-    engine_ = std::make_unique<QueryEngine>(db_.get());
+    engine_ = std::make_unique<QueryEngine>(
+        db_.get(), Parallelism::Exactly(GetParam()));
   }
 
   SelectStatement PointQuery(int64_t id) const {
@@ -239,13 +244,13 @@ class AdaptiveQueryTest : public ::testing::Test {
   std::unique_ptr<QueryEngine> engine_;
 };
 
-TEST_F(AdaptiveQueryTest, PointQueryKeepsTheIndex) {
+TEST_P(AdaptiveQueryTest, PointQueryKeepsTheIndex) {
   const auto plan = engine_->Explain(PointQuery(1234));
   ASSERT_TRUE(plan.ok());
   EXPECT_NE(plan->find("index-range(id"), std::string::npos) << *plan;
 }
 
-TEST_F(AdaptiveQueryTest, WideRangeIsDemotedToScan) {
+TEST_P(AdaptiveQueryTest, WideRangeIsDemotedToScan) {
   const auto plan = engine_->Explain(WideRange());
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->find("index-range"), std::string::npos) << *plan;
@@ -257,7 +262,7 @@ TEST_F(AdaptiveQueryTest, WideRangeIsDemotedToScan) {
   engine_->set_planner_mode(PlannerMode::kAdaptive);
 }
 
-TEST_F(AdaptiveQueryTest, AllPlannerModesReturnIdenticalResults) {
+TEST_P(AdaptiveQueryTest, AllPlannerModesReturnIdenticalResults) {
   const PlannerMode modes[] = {PlannerMode::kAdaptive,
                                PlannerMode::kForceIndex,
                                PlannerMode::kForceScan};
@@ -276,7 +281,7 @@ TEST_F(AdaptiveQueryTest, AllPlannerModesReturnIdenticalResults) {
   engine_->set_planner_mode(PlannerMode::kAdaptive);
 }
 
-TEST_F(AdaptiveQueryTest, RepeatedQueriesHitTheCache) {
+TEST_P(AdaptiveQueryTest, RepeatedQueriesHitTheCache) {
   DecryptedBlockCache* cache = db_->decrypted_cache();
   ASSERT_TRUE(engine_->Execute(PointQuery(55)).ok());
   const uint64_t hits_before = cache->GetStats().hits;
@@ -286,7 +291,7 @@ TEST_F(AdaptiveQueryTest, RepeatedQueriesHitTheCache) {
   EXPECT_GT(cache->GetStats().hits, hits_before);
 }
 
-TEST_F(AdaptiveQueryTest, RotationInvalidatesEveryCachedEpoch) {
+TEST_P(AdaptiveQueryTest, RotationInvalidatesEveryCachedEpoch) {
   DecryptedBlockCache* cache = db_->decrypted_cache();
   auto before = engine_->Execute(PointQuery(321));
   ASSERT_TRUE(before.ok());
@@ -314,7 +319,7 @@ TEST_F(AdaptiveQueryTest, RotationInvalidatesEveryCachedEpoch) {
   EXPECT_GT(cache->GetStats().resident_frames, 0u);
 }
 
-TEST_F(AdaptiveQueryTest, TamperingIsDetectedDespiteWarmCache) {
+TEST_P(AdaptiveQueryTest, TamperingIsDetectedDespiteWarmCache) {
   // Warm the cache with the victim row...
   ASSERT_TRUE(engine_->Execute(PointQuery(3)).ok());
   // ... then rewrite its stored ciphertext, as the storage adversary would.
@@ -325,7 +330,7 @@ TEST_F(AdaptiveQueryTest, TamperingIsDetectedDespiteWarmCache) {
   EXPECT_EQ(read.status().code(), StatusCode::kAuthenticationFailed);
 }
 
-TEST_F(AdaptiveQueryTest, StatsMaintainedAcrossWrites) {
+TEST_P(AdaptiveQueryTest, StatsMaintainedAcrossWrites) {
   const auto* state = db_->GetTableState("t").value();
   EXPECT_EQ(state->stats.row_count(), static_cast<uint64_t>(kRows));
   EXPECT_GT(state->stats.column(0).EstimateDistinct(), kRows * 0.6);
@@ -337,13 +342,93 @@ TEST_F(AdaptiveQueryTest, StatsMaintainedAcrossWrites) {
   EXPECT_EQ(state->stats.row_count(), static_cast<uint64_t>(kRows));
 }
 
-TEST_F(AdaptiveQueryTest, CloseSessionWipesTheCache) {
+TEST_P(AdaptiveQueryTest, CloseSessionWipesTheCache) {
   ASSERT_TRUE(engine_->Execute(PointQuery(9)).ok());
   DecryptedBlockCache* cache = db_->decrypted_cache();
   EXPECT_GT(cache->GetStats().resident_frames, 0u);
   db_->CloseSession();
   EXPECT_EQ(cache->GetStats().resident_frames, 0u);
 }
+
+// Two sessions in one process, as sdbenc_serve hosts tenants. This
+// fixture's session is tenant B. Tenant A runs cold scans over a
+// file-backed store with a tiny buffer pool, which moves the process-global
+// pool counters, and then warms its own cache. Neither may change B's plan
+// text or priced cost, and neither may B's own cache state: the planner
+// reads only B's table.
+TEST_P(AdaptiveQueryTest, OtherTenantsTrafficCannotMoveThePlan) {
+  const SelectStatement queries[] = {PointQuery(1234), WideRange()};
+  const auto* state = db_->GetTableState("t").value();
+  const auto plans = [&] {
+    std::vector<std::pair<std::string, double>> out;
+    for (const SelectStatement& q : queries) {
+      out.emplace_back(
+          engine_->Explain(q).value(),
+          PlanForTable(*state, q.where, PlannerMode::kAdaptive).cost);
+    }
+    return out;
+  };
+  const auto before = plans();
+  EXPECT_GT(before[0].second, 0.0);
+
+  const std::string path =
+      ::testing::TempDir() + "/sdbenc_test_adaptive_tenant_a.sdb";
+  std::remove(path.c_str());
+  const Bytes key_a(32, 0x5a);
+  {
+    auto a = std::move(
+        SecureDatabase::Open(key_a, StorageOptions::File(path, 8), 5).value());
+    SecureTableOptions options;
+    options.indexed_columns = {"id"};
+    Schema schema({{"id", ValueType::kInt64, true},
+                   {"grp", ValueType::kInt64, true}});
+    ASSERT_TRUE(a->CreateTable("t", schema, options).ok());
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_TRUE(a->Insert("t", {Value::Int(i), Value::Int(i % 7)}).ok());
+    }
+    ASSERT_TRUE(a->Flush().ok());
+  }
+  // The reopen faults A's catalog, rows and index nodes through 8 frames.
+  obs::Counter* global_misses =
+      obs::Registry().GetCounter("sdbenc_storage_pool_misses_total");
+  const uint64_t global_misses_before = global_misses->Value();
+  auto a = std::move(
+      SecureDatabase::Open(key_a, StorageOptions::File(path, 8), 6).value());
+  QueryEngine engine_a(a.get(), Parallelism::Exactly(GetParam()));
+  SelectStatement scan;
+  scan.table = "t";
+  scan.where = Expr::Compare(CompareOp::kEq, Expr::Column("grp"),
+                             Expr::Literal(Value::Int(3)));
+  for (int pass = 0; pass < 2; ++pass) {  // cold, then cache-warm
+    auto r = engine_a.Execute(scan);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->rows.size(), 57u);
+  }
+  EXPECT_GT(a->storage_engine()->stats().pool_misses, 0u);
+  if (obs::kMetricsEnabled) {
+    EXPECT_GT(global_misses->Value(), global_misses_before);
+  }
+  EXPECT_GT(a->decrypted_cache()->GetStats().hits, 0u);
+  EXPECT_EQ(plans(), before);
+
+  // B's own cache, warm and then wiped, is no planner input either.
+  for (const SelectStatement& q : queries) {
+    ASSERT_TRUE(engine_->Execute(q).ok());
+  }
+  EXPECT_GT(db_->decrypted_cache()->GetStats().resident_frames, 0u);
+  EXPECT_EQ(plans(), before);
+  db_->decrypted_cache()->WipeAll();
+  EXPECT_EQ(plans(), before);
+
+  a.reset();
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, AdaptiveQueryTest,
+                         ::testing::Values(1, 2, 4, 8),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return "x" + std::to_string(info.param);
+                         });
 
 // ----------------------------------------------------- catalog v2 round-trip
 

@@ -8,6 +8,9 @@
 #include "aead/siv.h"
 #include "crypto/aes.h"
 #include "crypto/counting_cipher.h"
+#include "db/cell_address.h"
+#include "obs/metrics.h"
+#include "query/planner.h"
 #include "util/hex.h"
 #include "util/rng.h"
 
@@ -306,6 +309,9 @@ CallCountFixture MakeCounting(AeadAlgorithm alg) {
     case AeadAlgorithm::kCcfb:
       fixture.aead = std::move(CcfbAead::Create(std::move(counting)).value());
       break;
+    case AeadAlgorithm::kGcm:
+      fixture.aead = std::move(GcmAead::Create(std::move(counting)).value());
+      break;
     default:
       break;
   }
@@ -369,6 +375,61 @@ TEST(AeadCallCountTest, CcfbSitsBetweenEaxAndOcb) {
   EXPECT_GT(s_ccfb, s_ocb);
   EXPECT_LT(s_ccfb, s_eax);
   EXPECT_NEAR(s_ccfb, 16.0 / 12.0, 0.05);
+}
+
+// The planner prices every cell open with AeadOpenBlocks (query/planner.cc).
+// Pinning it to the instrumented cipher keeps the cost model and the
+// paper's §4 accounting (EXPERIMENTS E8) from drifting apart. Cells are
+// opened as AeadCellCodec opens them, with the 20-octet cell address as
+// the header.
+TEST(AeadCallCountTest, PlannerOpenFormulaMatchesCountedCalls) {
+  const Bytes address = CellAddress{1, 2, 3}.Encode();
+  for (const AeadAlgorithm alg :
+       {AeadAlgorithm::kEax, AeadAlgorithm::kOcbPmac, AeadAlgorithm::kCcfb,
+        AeadAlgorithm::kGcm}) {
+    auto f = MakeCounting(alg);
+    ASSERT_NE(f.aead, nullptr);
+    const Bytes nonce(f.aead->nonce_size(), 1);
+    for (const size_t blocks : {1, 8, 64}) {
+      const Bytes plaintext(16 * blocks, 0x5c);
+      auto sealed = f.aead->Seal(nonce, plaintext, address);
+      ASSERT_TRUE(sealed.ok());
+      const_cast<CountingBlockCipher*>(f.counter)->ResetCounters();
+      ASSERT_TRUE(
+          f.aead->Open(nonce, sealed->ciphertext, sealed->tag, address).ok());
+      EXPECT_EQ(f.counter->total_calls(),
+                AeadOpenBlocks(alg, plaintext.size(), address.size()))
+          << AeadAlgorithmName(alg) << " at " << blocks << " blocks";
+    }
+  }
+}
+
+// EtM and SIV build their own AES, so their opens are counted through the
+// process-wide AES block counters instead of a wrapped cipher.
+TEST(AeadCallCountTest, PlannerOpenFormulaMatchesAesBlockCounters) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  obs::Counter* enc =
+      obs::Registry().GetCounter("sdbenc_cipher_encrypt_blocks_total");
+  obs::Counter* dec =
+      obs::Registry().GetCounter("sdbenc_cipher_decrypt_blocks_total");
+  const Bytes address = CellAddress{1, 2, 3}.Encode();
+  for (const AeadAlgorithm alg : {AeadAlgorithm::kEtm, AeadAlgorithm::kSiv}) {
+    auto aead = CreateAead(alg, Bytes(32, 0x42));
+    ASSERT_TRUE(aead.ok());
+    const Bytes nonce((*aead)->nonce_size(), 1);
+    for (const size_t blocks : {1, 8, 64}) {
+      const Bytes plaintext(16 * blocks, 0x5c);
+      auto sealed = (*aead)->Seal(nonce, plaintext, address);
+      ASSERT_TRUE(sealed.ok());
+      const uint64_t before = enc->Value() + dec->Value();
+      ASSERT_TRUE((*aead)
+                      ->Open(nonce, sealed->ciphertext, sealed->tag, address)
+                      .ok());
+      EXPECT_EQ(enc->Value() + dec->Value() - before,
+                AeadOpenBlocks(alg, plaintext.size(), address.size()))
+          << AeadAlgorithmName(alg) << " at " << blocks << " blocks";
+    }
+  }
 }
 
 }  // namespace

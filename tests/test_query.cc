@@ -282,7 +282,10 @@ TEST(SqlParserTest, Errors) {
 
 // ----------------------------------------------------------------- Engine
 
-class QueryEngineTest : public ::testing::Test {
+// Every engine case runs at 1, 2, 4 and 8 threads: plans depend only on the
+// table, never on the thread count, so each plan-shape assertion must hold
+// unchanged at every width.
+class QueryEngineTest : public ::testing::TestWithParam<size_t> {
  protected:
   QueryEngineTest() {
     db_ = std::move(SecureDatabase::Open(Bytes(32, 0x4e), 404).value());
@@ -301,7 +304,8 @@ class QueryEngineTest : public ::testing::Test {
                                       Value::Str(i % 2 ? "eng" : "ops")})
                       .ok());
     }
-    engine_ = std::make_unique<QueryEngine>(db_.get());
+    engine_ = std::make_unique<QueryEngine>(
+        db_.get(), Parallelism::Exactly(GetParam()));
   }
 
   StatusOr<QueryResult> Run(const std::string& sql) {
@@ -330,7 +334,7 @@ class QueryEngineTest : public ::testing::Test {
   std::unique_ptr<QueryEngine> engine_;
 };
 
-TEST_F(QueryEngineTest, PointQueryUsesIndex) {
+TEST_P(QueryEngineTest, PointQueryUsesIndex) {
   auto result = Run("SELECT name FROM emp WHERE id = 17");
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->rows.size(), 1u);
@@ -339,7 +343,7 @@ TEST_F(QueryEngineTest, PointQueryUsesIndex) {
       << result->plan;
 }
 
-TEST_F(QueryEngineTest, RangeWithResidualFilter) {
+TEST_P(QueryEngineTest, RangeWithResidualFilter) {
   auto result = Run(
       "SELECT id, salary FROM emp WHERE salary >= 3000 AND salary <= 5000 "
       "AND dept = 'eng'");
@@ -356,14 +360,14 @@ TEST_F(QueryEngineTest, RangeWithResidualFilter) {
   EXPECT_EQ(result->rows.size(), 12u);
 }
 
-TEST_F(QueryEngineTest, UnindexedPredicateScans) {
+TEST_P(QueryEngineTest, UnindexedPredicateScans) {
   auto result = Run("SELECT id FROM emp WHERE dept = 'ops'");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->plan.rfind("scan", 0), 0u) << result->plan;
   EXPECT_EQ(result->rows.size(), 30u);
 }
 
-TEST_F(QueryEngineTest, StrictBoundCorrectness) {
+TEST_P(QueryEngineTest, StrictBoundCorrectness) {
   auto lt = Run("SELECT id FROM emp WHERE salary < 2000");
   ASSERT_TRUE(lt.ok());
   for (const auto& row : lt->rows) {
@@ -372,7 +376,7 @@ TEST_F(QueryEngineTest, StrictBoundCorrectness) {
   EXPECT_EQ(lt->rows.size(), 12u);  // i%10 in {0,1}
 }
 
-TEST_F(QueryEngineTest, CrossColumnComparisonStaysResidual) {
+TEST_P(QueryEngineTest, CrossColumnComparisonStaysResidual) {
   // Column-vs-column predicates have no literal bound, so neither side's
   // index may serve them; the whole predicate must run as a scan filter.
   auto result = Run("SELECT id FROM emp WHERE id = salary");
@@ -385,7 +389,7 @@ TEST_F(QueryEngineTest, CrossColumnComparisonStaysResidual) {
   EXPECT_EQ(result->rows[0][0], Value::Int(0));
 }
 
-TEST_F(QueryEngineTest, NotEqualsNeverDropsRows) {
+TEST_P(QueryEngineTest, NotEqualsNeverDropsRows) {
   // != is not sargable on its own ...
   auto alone = Run("SELECT id FROM emp WHERE id != 3");
   ASSERT_TRUE(alone.ok());
@@ -405,7 +409,7 @@ TEST_F(QueryEngineTest, NotEqualsNeverDropsRows) {
   }
 }
 
-TEST_F(QueryEngineTest, OrUnderAndStaysResidualWithoutDroppingRows) {
+TEST_P(QueryEngineTest, OrUnderAndStaysResidualWithoutDroppingRows) {
   // The salary bound drives the index; the OR disjunct must survive as a
   // residual filter — pushing only one OR branch would drop rows.
   auto result = Run(
@@ -426,7 +430,7 @@ TEST_F(QueryEngineTest, OrUnderAndStaysResidualWithoutDroppingRows) {
   }
 }
 
-TEST_F(QueryEngineTest, UpdateAndDeleteThroughSql) {
+TEST_P(QueryEngineTest, UpdateAndDeleteThroughSql) {
   auto update = Run("UPDATE emp SET salary = 99999 WHERE id = 5");
   ASSERT_TRUE(update.ok());
   EXPECT_EQ(update->affected, 1u);
@@ -444,7 +448,7 @@ TEST_F(QueryEngineTest, UpdateAndDeleteThroughSql) {
   EXPECT_TRUE(db_->VerifyIntegrity().ok());
 }
 
-TEST_F(QueryEngineTest, InsertThroughSql) {
+TEST_P(QueryEngineTest, InsertThroughSql) {
   auto insert = Run("INSERT INTO emp VALUES (100, 'new', 1234, 'eng')");
   ASSERT_TRUE(insert.ok());
   auto check = Run("SELECT name FROM emp WHERE id = 100");
@@ -452,7 +456,7 @@ TEST_F(QueryEngineTest, InsertThroughSql) {
   EXPECT_EQ(check->rows[0][0], Value::Str("new"));
 }
 
-TEST_F(QueryEngineTest, ExplainShowsPlanWithoutExecuting) {
+TEST_P(QueryEngineTest, ExplainShowsPlanWithoutExecuting) {
   auto explain = Run("EXPLAIN SELECT * FROM emp WHERE id = 1 AND dept = 'x'");
   ASSERT_TRUE(explain.ok());
   EXPECT_NE(explain->plan.find("index-range(id = 1)"), std::string::npos)
@@ -460,7 +464,7 @@ TEST_F(QueryEngineTest, ExplainShowsPlanWithoutExecuting) {
   EXPECT_TRUE(explain->rows.empty());
 }
 
-TEST_F(QueryEngineTest, AggregateQueries) {
+TEST_P(QueryEngineTest, AggregateQueries) {
   auto count = Run("SELECT COUNT(*) FROM emp WHERE dept = 'eng'");
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count->rows[0][0], Value::Int(30));
@@ -486,7 +490,7 @@ TEST_F(QueryEngineTest, AggregateQueries) {
   EXPECT_FALSE(Run("SELECT SUM(name) FROM emp").ok());
 }
 
-TEST_F(QueryEngineTest, OrderByAndLimit) {
+TEST_P(QueryEngineTest, OrderByAndLimit) {
   auto top = Run("SELECT id, salary FROM emp WHERE id <= 20 "
                  "ORDER BY salary DESC LIMIT 5");
   ASSERT_TRUE(top.ok());
@@ -505,7 +509,7 @@ TEST_F(QueryEngineTest, OrderByAndLimit) {
   EXPECT_FALSE(Run("SELECT id FROM emp ORDER BY ghost").ok());
 }
 
-TEST_F(QueryEngineTest, ErrorsSurfaceCleanly) {
+TEST_P(QueryEngineTest, ErrorsSurfaceCleanly) {
   EXPECT_FALSE(Run("SELECT * FROM missing").ok());
   EXPECT_FALSE(Run("SELECT ghost FROM emp").ok());
   EXPECT_FALSE(Run("SELECT * FROM emp WHERE ghost = 1").ok());
@@ -517,6 +521,12 @@ TEST_F(QueryEngineTest, ErrorsSurfaceCleanly) {
   EXPECT_FALSE(scan.ok());
   EXPECT_EQ(scan.status().code(), StatusCode::kAuthenticationFailed);
 }
+
+INSTANTIATE_TEST_SUITE_P(Threads, QueryEngineTest,
+                         ::testing::Values(1, 2, 4, 8),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return "x" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace sdbenc

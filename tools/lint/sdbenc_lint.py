@@ -52,6 +52,15 @@ This pass enforces the repo invariants mechanically:
                                   while-loop, which this rule cannot
                                   mis-flag because the wrapper methods are
                                   capitalised.)
+  SDB009  planner-purity          a live-system read in the cost-based
+                                  planner (src/query/planner.*):
+                                  obs::Registry, NowNs, std::chrono
+                                  clocks, hardware_concurrency or
+                                  Parallelism. Plans must be a function of
+                                  the statement and the table alone, so
+                                  they reproduce on every host and one
+                                  tenant's traffic cannot steer another
+                                  tenant's plan.
 
 Intentional violations (the legacy schemes exist to be broken) are
 suppressed via an allowlist file; see allowlist.conf for the format and
@@ -670,6 +679,40 @@ def check_cv_wait_predicate(src: SourceFile, exempt: bool) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
+# SDB009 — live-system inputs in the cost-based planner
+
+_PLANNER_FILES = ("src/query/planner.h", "src/query/planner.cc")
+
+_LIVE_INPUT = re.compile(
+    r"\bobs\s*::\s*Registry\b"
+    r"|\bNowNs\b"
+    r"|\b(?:steady|system|high_resolution)_clock\b"
+    r"|\bhardware_concurrency\b"
+    r"|\bParallelism\b"
+)
+
+
+def check_planner_purity(src: SourceFile) -> list[Finding]:
+    if src.path not in _PLANNER_FILES:
+        return []
+    findings = []
+    for i, line in enumerate(src.clean_lines, start=1):
+        for m in _LIVE_INPUT.finditer(line):
+            what = re.sub(r"\s+", "", m.group(0))
+            findings.append(
+                Finding(
+                    src.path,
+                    i,
+                    "SDB009",
+                    f"live-system input '{what}' in the planner; plans "
+                    "must depend only on the statement and the table's "
+                    "stats, schema, index order and codec",
+                )
+            )
+    return findings
+
+
+# --------------------------------------------------------------------------
 # Driver
 
 # Directories whose whole purpose is to reproduce the broken legacy
@@ -716,6 +759,7 @@ def lint_files(
         )
         findings += check_raw_sync_primitive(src, exempt=wrapper)
         findings += check_cv_wait_predicate(src, exempt=wrapper)
+        findings += check_planner_purity(src)
         for f in findings:
             line_text = (
                 src.raw_lines[f.line - 1]

@@ -189,6 +189,49 @@ class CvWaitRuleTest(unittest.TestCase):
         self.assertEqual([f for f in reported if f.rule == "SDB008"], [])
 
 
+class PlannerPurityRuleTest(unittest.TestCase):
+    def _lint_at(self, fixture_name, rel_paths):
+        # The rule is scoped to src/query/planner.*: copy the fixture to
+        # each requested path of a scratch tree and lint them together.
+        with tempfile.TemporaryDirectory() as tmp:
+            for rel in rel_paths:
+                dst = os.path.join(tmp, rel)
+                os.makedirs(os.path.dirname(dst), exist_ok=True)
+                shutil.copy(os.path.join(_TESTDATA, fixture_name), dst)
+            reported, _ = lint(rel_paths, repo_root=tmp)
+            return [f for f in reported if f.rule == "SDB009"]
+
+    def test_bad_planner_flags_each_live_input(self):
+        reported = self._lint_at(
+            "bad_planner_purity.cc",
+            ["src/query/planner.cc", "src/query/planner.h"],
+        )
+        self.assertEqual(len(reported), 10)
+        flagged = {f.message.split("'")[1] for f in reported}
+        self.assertEqual(
+            flagged,
+            {
+                "Parallelism",
+                "obs::Registry",
+                "NowNs",
+                "steady_clock",
+                "hardware_concurrency",
+            },
+        )
+
+    def test_rule_is_scoped_to_the_planner(self):
+        reported = self._lint_at(
+            "bad_planner_purity.cc", ["src/query/engine.cc"]
+        )
+        self.assertEqual(reported, [])
+
+    def test_good_planner_is_clean(self):
+        reported = self._lint_at(
+            "good_planner_purity.cc", ["src/query/planner.cc"]
+        )
+        self.assertEqual(reported, [])
+
+
 class AllowlistTest(unittest.TestCase):
     def test_allowlist_suppresses_and_tracks_usage(self):
         entry = sdbenc_lint.AllowEntry(
