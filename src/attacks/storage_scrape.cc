@@ -27,7 +27,7 @@ StatusOr<ScrapedImage> ScrapePageFile(const std::string& path) {
   // ciphertext.
   BinaryReader r(catalog);
   SDBENC_ASSIGN_OR_RETURN(const uint32_t version, r.GetU32());
-  if (version != 1 && version != 2) {
+  if (version < 1 || version > 3) {
     return ParseError("unsupported catalog version");
   }
   SDBENC_ASSIGN_OR_RETURN(const Bytes keycheck, r.GetBytes());
@@ -50,16 +50,29 @@ StatusOr<ScrapedImage> ScrapePageFile(const std::string& path) {
       col.encrypted = encrypted != 0;
       table.columns.push_back(std::move(col));
     }
-    SDBENC_ASSIGN_OR_RETURN(const uint64_t n_rows, r.GetU64());
-    for (uint64_t i = 0; i < n_rows; ++i) {
+    // Version 3 lists one row group record per run of rows; versions 1
+    // and 2 list one bare row record per row.
+    SDBENC_ASSIGN_OR_RETURN(const uint64_t n_records, r.GetU64());
+    if (n_records > r.Remaining() / 8) {
+      return ParseError("catalog record count exceeds catalog size");
+    }
+    for (uint64_t i = 0; i < n_records; ++i) {
       SDBENC_ASSIGN_OR_RETURN(const uint64_t record_id, r.GetU64());
       SDBENC_ASSIGN_OR_RETURN(const Bytes record, records.Get(record_id));
-      SDBENC_ASSIGN_OR_RETURN(RowRecord row, DecodeRow(record));
-      if (row.cells.size() != table.columns.size()) {
-        return ParseError("row record arity does not match schema");
+      std::vector<RowRecord> rows;
+      if (version >= 3) {
+        SDBENC_ASSIGN_OR_RETURN(rows, DecodeRowGroup(record));
+      } else {
+        SDBENC_ASSIGN_OR_RETURN(RowRecord row, DecodeRow(record));
+        rows.push_back(std::move(row));
       }
-      table.rows.push_back(std::move(row.cells));
-      table.deleted.push_back(row.deleted);
+      for (RowRecord& row : rows) {
+        if (row.cells.size() != table.columns.size()) {
+          return ParseError("row record arity does not match schema");
+        }
+        table.rows.push_back(std::move(row.cells));
+        table.deleted.push_back(row.deleted);
+      }
     }
     SDBENC_ASSIGN_OR_RETURN(const std::string alg_name, r.GetString());
     (void)alg_name;

@@ -825,6 +825,9 @@ Status BPlusTree::LoadFrom(RecordStore* store, BinaryReader& r) {
   SDBENC_ASSIGN_OR_RETURN(const uint64_t next_ref, r.GetU64());
   SDBENC_ASSIGN_OR_RETURN(const uint32_t nslots, r.GetU32());
   if (root >= nslots) return ParseError("tree root outside node directory");
+  if (nslots > r.Remaining() / 8) {
+    return ParseError("node directory exceeds tree metadata size");
+  }
   std::vector<uint64_t> ids(nslots);
   for (uint32_t i = 0; i < nslots; ++i) {
     SDBENC_ASSIGN_OR_RETURN(ids[i], r.GetU64());

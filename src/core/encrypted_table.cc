@@ -1,5 +1,7 @@
 #include "core/encrypted_table.h"
 
+#include <optional>
+
 #include "db/serialize.h"
 #include "obs/trace_context.h"
 
@@ -162,7 +164,7 @@ StatusOr<Value> EncryptedTable::GetCell(uint64_t row, uint32_t column) const {
   return Value::Deserialize(serialized);
 }
 
-StatusOr<std::vector<Value>> EncryptedTable::GetRow(uint64_t row) const {
+StatusOr<std::vector<Value>> EncryptedTable::DecryptRow(uint64_t row) const {
   std::vector<Value> values;
   values.reserve(table_->num_columns());
   for (uint32_t c = 0; c < table_->num_columns(); ++c) {
@@ -175,25 +177,60 @@ StatusOr<std::vector<Value>> EncryptedTable::GetRow(uint64_t row) const {
     }
     values.push_back(std::move(v).value());
   }
-  if (cache_ != nullptr) {
-    const Bytes blob = SerializeRowBlob(values);
-    obs::CountLeak(obs::LeakKind::kPlaintextBytes, blob.size());
-    cache_->Insert(RowCacheKey(row), ToView(blob));
-  }
   return values;
 }
 
-StatusOr<std::vector<Value>> EncryptedTable::GetRowCached(uint64_t row) const {
+void EncryptedTable::CacheRow(uint64_t row, BytesView blob) const {
+  obs::CountLeak(obs::LeakKind::kPlaintextBytes, blob.size());
+  cache_->Insert(RowCacheKey(row), blob);
+}
+
+StatusOr<std::vector<Value>> EncryptedTable::GetRow(uint64_t row) const {
+  SDBENC_ASSIGN_OR_RETURN(std::vector<Value> values, DecryptRow(row));
+  if (cache_ != nullptr) CacheRow(row, SerializeRowBlob(values));
+  return values;
+}
+
+StatusOr<std::vector<std::vector<Value>>> EncryptedTable::GetRowsCached(
+    const std::vector<uint64_t>& rows, const Parallelism& par) const {
+  // Only decryption and deserialisation run in parallel. Every cache
+  // operation happens on the calling thread in `rows` order — all lookups,
+  // then all inserts — so the cache's LRU order, and with it every later
+  // hit, miss and eviction, is the same at every thread count.
+  std::vector<std::optional<Bytes>> cached(rows.size());
   if (cache_ != nullptr) {
-    if (std::optional<Bytes> blob = cache_->Lookup(RowCacheKey(row))) {
-      obs::CountLeak(obs::LeakKind::kPlaintextBytes, blob->size());
-      StatusOr<std::vector<Value>> values = DeserializeRowBlob(ToView(*blob));
-      if (values.ok()) return values;
-      // Corrupt blob (cannot happen short of a bug): drop and re-decrypt.
-      InvalidateCachedRow(row);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      cached[i] = cache_->Lookup(RowCacheKey(rows[i]));
+      if (cached[i]) {
+        obs::CountLeak(obs::LeakKind::kPlaintextBytes, cached[i]->size());
+      }
     }
   }
-  return GetRow(row);
+  std::vector<std::vector<Value>> out(rows.size());
+  std::vector<Bytes> fresh(rows.size());
+  SDBENC_RETURN_IF_ERROR(ParallelFor(
+      rows.size(), /*grain=*/16, par,
+      [&](size_t begin, size_t end) -> Status {
+        for (size_t i = begin; i < end; ++i) {
+          if (cached[i]) {
+            StatusOr<std::vector<Value>> values =
+                DeserializeRowBlob(ToView(*cached[i]));
+            // A corrupt blob (cannot happen short of a bug) is decrypted
+            // afresh and replaced by the insert below.
+            if (values.ok()) {
+              out[i] = std::move(values).value();
+              continue;
+            }
+          }
+          SDBENC_ASSIGN_OR_RETURN(out[i], DecryptRow(rows[i]));
+          if (cache_ != nullptr) fresh[i] = SerializeRowBlob(out[i]);
+        }
+        return OkStatus();
+      }));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!fresh[i].empty()) CacheRow(rows[i], fresh[i]);
+  }
+  return out;
 }
 
 Status EncryptedTable::UpdateCell(uint64_t row, uint32_t column,

@@ -50,7 +50,7 @@ class EncryptedTable {
 
   /// Attaches a shared decrypted-block cache (owned by the caller;
   /// `codec_tag` distinguishes AEAD algorithms in cache keys). GetRow then
-  /// *refreshes* the cache with every row it decrypts, and GetRowCached
+  /// *refreshes* the cache with every row it decrypts, and GetRowsCached
   /// serves repeat reads from it.
   void AttachBlockCache(DecryptedBlockCache* cache, uint8_t codec_tag) {
     cache_ = cache;
@@ -69,12 +69,17 @@ class EncryptedTable {
   /// (re)cached; on failure any cached copy is dropped.
   StatusOr<std::vector<Value>> GetRow(uint64_t row) const;
 
-  /// GetRow through the decrypted-block cache: a hit deserialises the
-  /// cached plaintext without touching storage; a miss decrypts via
-  /// GetRow. The hot path for query execution — callers that need a
+  /// GetRow through the decrypted-block cache for many rows, in `rows`
+  /// order: a hit deserialises the cached plaintext without touching
+  /// storage; the misses are decrypted in parallel at `par` and cached.
+  /// The hot path for query execution — callers that need a
   /// storage-truthful read (integrity checks, direct point reads after
-  /// external mutation) use GetRow instead.
-  StatusOr<std::vector<Value>> GetRowCached(uint64_t row) const;
+  /// external mutation) use GetRow instead. Cache lookups and inserts run
+  /// on the calling thread in `rows` order, so the cache sees the same
+  /// traffic at every thread count.
+  StatusOr<std::vector<std::vector<Value>>> GetRowsCached(
+      const std::vector<uint64_t>& rows,
+      const Parallelism& par = Parallelism()) const;
 
   /// Re-encodes one cell in place (fresh nonce under probabilistic codecs).
   Status UpdateCell(uint64_t row, uint32_t column, const Value& value);
@@ -90,6 +95,11 @@ class EncryptedTable {
                              uint32_t column);
   StatusOr<CellCodec*> CodecFor(uint32_t column) const;
   DecryptedBlockCache::Key RowCacheKey(uint64_t row) const;
+  /// Decodes every cell of `row` from storage; no cache traffic except
+  /// dropping the row's entry on failure.
+  StatusOr<std::vector<Value>> DecryptRow(uint64_t row) const;
+  /// Inserts a row's serialised plaintext into the attached cache.
+  void CacheRow(uint64_t row, BytesView blob) const;
 
   Table* table_;
   std::vector<CellCodec*> codecs_;

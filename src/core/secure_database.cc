@@ -425,39 +425,23 @@ StatusOr<std::vector<std::vector<Value>>> SecureDatabase::CollectRows(
     const TableState& state, const std::vector<uint64_t>& rows) const {
   const obs::StageTimer timer(CoreMetrics().collect_rows_ns,
                               "core.collect_rows");
-  // Decrypt the result rows in parallel into index-addressed slots, then
-  // compact in order: the output sequence matches the serial loop exactly.
-  std::vector<std::vector<Value>> decoded(rows.size());
-  std::vector<uint8_t> keep(rows.size(), 0);
-  SDBENC_RETURN_IF_ERROR(ParallelFor(
-      rows.size(), /*grain=*/16, default_parallelism_,
-      [&](size_t begin, size_t end) -> Status {
-        for (size_t i = begin; i < end; ++i) {
-          const uint64_t row = rows[i];
-          if (state.encrypted_table->table().IsDeleted(row)) continue;
-          SDBENC_ASSIGN_OR_RETURN(decoded[i],
-                                  state.encrypted_table->GetRowCached(row));
-          keep[i] = 1;
-        }
-        return OkStatus();
-      }));
-  std::vector<std::vector<Value>> out;
-  out.reserve(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (keep[i]) out.push_back(std::move(decoded[i]));
+  std::vector<uint64_t> live;
+  live.reserve(rows.size());
+  for (const uint64_t row : rows) {
+    if (!state.encrypted_table->table().IsDeleted(row)) live.push_back(row);
   }
-  return out;
+  return state.encrypted_table->GetRowsCached(live, default_parallelism_);
 }
 
 StatusOr<std::vector<std::vector<Value>>> SecureDatabase::ScanWhere(
     const TableState& state, uint32_t column, const Value& lo,
     const Value& hi) const {
   const obs::StageTimer timer(CoreMetrics().scan_ns, "core.scan");
-  // Full decrypt-scan, row-parallel over read-only state; matching rows are
-  // compacted in row order afterwards, so results match the serial scan.
+  // Full decrypt-scan of the predicate column, row-parallel over read-only
+  // state; the matching rows are then fetched in row order, so results
+  // match the serial scan.
   const Table& table = state.encrypted_table->table();
   const uint64_t num_rows = table.num_rows();
-  std::vector<std::vector<Value>> decoded(num_rows);
   std::vector<uint8_t> keep(num_rows, 0);
   SDBENC_RETURN_IF_ERROR(ParallelFor(
       num_rows, /*grain=*/16, default_parallelism_,
@@ -466,20 +450,15 @@ StatusOr<std::vector<std::vector<Value>>> SecureDatabase::ScanWhere(
           if (table.IsDeleted(row)) continue;
           SDBENC_ASSIGN_OR_RETURN(
               Value v, state.encrypted_table->GetCell(row, column));
-          if (Value::Compare(v, lo) < 0 || Value::Compare(v, hi) > 0) {
-            continue;
-          }
-          SDBENC_ASSIGN_OR_RETURN(decoded[row],
-                                  state.encrypted_table->GetRowCached(row));
-          keep[row] = 1;
+          keep[row] = Value::Compare(v, lo) >= 0 && Value::Compare(v, hi) <= 0;
         }
         return OkStatus();
       }));
-  std::vector<std::vector<Value>> out;
+  std::vector<uint64_t> matches;
   for (uint64_t row = 0; row < num_rows; ++row) {
-    if (keep[row]) out.push_back(std::move(decoded[row]));
+    if (keep[row]) matches.push_back(row);
   }
-  return out;
+  return state.encrypted_table->GetRowsCached(matches, default_parallelism_);
 }
 
 StatusOr<std::vector<std::vector<Value>>> SecureDatabase::SelectEquals(
@@ -610,10 +589,12 @@ std::string SecureDatabase::DumpMetrics(obs::ExportFormat format) const {
 
 Status SecureDatabase::WriteCatalog(BinaryWriter& w,
                                     RecordStore* dump_target) const {
-  // Version 2 appends AEAD-sealed per-table statistics after each table's
-  // index metadata; version-1 files still load (stats reseed from the row
-  // count).
-  w.PutU32(2);  // catalog version
+  // Version 3 lists one record id per row group (db/row_codec.h) instead of
+  // one per row; version 2 appended AEAD-sealed per-table statistics after
+  // each table's index metadata. Versions 1 and 2 still load (v1 stats
+  // reseed from the row count) and are repacked into groups on the next
+  // flush.
+  w.PutU32(3);  // catalog version
   w.PutBytes(keycheck_);
   w.PutU64(next_index_table_id_);
   w.PutU32(static_cast<uint32_t>(tables_.size()));
@@ -627,20 +608,14 @@ Status SecureDatabase::WriteCatalog(BinaryWriter& w,
       w.PutU8(static_cast<uint8_t>(col.type));
       w.PutU8(col.encrypted ? 1 : 0);
     }
-    std::vector<uint64_t> row_ids;
+    std::vector<RecordId> group_ids;
     if (dump_target != nullptr) {
-      SDBENC_RETURN_IF_ERROR(table.DumpRowsTo(*dump_target, &row_ids));
+      SDBENC_RETURN_IF_ERROR(table.DumpRowsTo(*dump_target, &group_ids));
     } else {
-      row_ids = table.row_record_ids();
+      SDBENC_ASSIGN_OR_RETURN(group_ids, table.GroupRecordIds());
     }
-    w.PutU64(row_ids.size());
-    for (const uint64_t id : row_ids) {
-      if (id == kNoRecord) {
-        return FailedPreconditionError(
-            "table has unflushed rows; Flush() before saving the catalog");
-      }
-      w.PutU64(id);
-    }
+    w.PutU64(group_ids.size());
+    for (const RecordId id : group_ids) w.PutU64(id);
     w.PutString(AeadAlgorithmName(state->aead_alg));
     w.PutU32(static_cast<uint32_t>(state->index_order));
     w.PutU32(static_cast<uint32_t>(state->indexes.size()));
@@ -706,7 +681,7 @@ Status SecureDatabase::LoadCatalog() {
   SDBENC_ASSIGN_OR_RETURN(const Bytes image, records_->Get(root));
   BinaryReader r(image);
   SDBENC_ASSIGN_OR_RETURN(const uint32_t version, r.GetU32());
-  if (version != 1 && version != 2) {
+  if (version < 1 || version > 3) {
     return ParseError("unsupported catalog version " +
                       std::to_string(version));
   }
@@ -739,14 +714,22 @@ Status SecureDatabase::LoadCatalog() {
         Table * table,
         storage_holder_->RestoreTable(table_id, name,
                                       Schema(std::move(cols))));
-    SDBENC_ASSIGN_OR_RETURN(const uint64_t n_rows, r.GetU64());
-    std::vector<uint64_t> row_ids(n_rows);
-    for (uint64_t i = 0; i < n_rows; ++i) {
-      SDBENC_ASSIGN_OR_RETURN(row_ids[i], r.GetU64());
+    // v3: one id per row group; v1/v2: one id per row.
+    SDBENC_ASSIGN_OR_RETURN(const uint64_t n_records, r.GetU64());
+    if (n_records > r.Remaining() / 8) {
+      return ParseError("catalog record count exceeds catalog size");
+    }
+    std::vector<RecordId> record_ids(n_records);
+    for (RecordId& id : record_ids) {
+      SDBENC_ASSIGN_OR_RETURN(id, r.GetU64());
+      if (id == kNoRecord) return ParseError("catalog lists no record");
     }
     // Rows load eagerly — their pages' checksums are verified as a side
     // effect — but nothing is decrypted: the cells stay ciphertext.
-    SDBENC_RETURN_IF_ERROR(table->LoadRows(*records_, row_ids));
+    SDBENC_RETURN_IF_ERROR(table->LoadRows(
+        *records_, record_ids,
+        version >= 3 ? Table::RowDirectory::kRowGroups
+                     : Table::RowDirectory::kPerRow));
     SDBENC_ASSIGN_OR_RETURN(const std::string alg_name, r.GetString());
     SDBENC_ASSIGN_OR_RETURN(const AeadAlgorithm alg,
                             ParseAeadAlgorithm(alg_name));
@@ -792,6 +775,12 @@ Status SecureDatabase::LoadCatalog() {
       BinaryReader stats_reader(plain);
       SDBENC_ASSIGN_OR_RETURN(state->stats,
                               TableStatistics::Deserialize(stats_reader));
+      // The sealed live-row count bounds the row total from below, so rows
+      // or groups dropped from the (unauthenticated) directory show here.
+      if (state->stats.row_count() > table->num_rows()) {
+        return ParseError("catalog directory holds fewer rows than the "
+                          "sealed statistics count");
+      }
     }
   }
   if (!r.AtEnd()) {

@@ -1,5 +1,8 @@
 #include "db/table.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "db/row_codec.h"
 
 namespace sdbenc {
@@ -11,8 +14,6 @@ StatusOr<uint64_t> Table::AppendRow(std::vector<Bytes> cells) {
   rows_.push_back(std::move(cells));
   deleted_.push_back(false);
   row_versions_.push_back(0);
-  row_records_.push_back(kNoRecord);
-  row_dirty_.push_back(true);
   return static_cast<uint64_t>(rows_.size() - 1);
 }
 
@@ -34,7 +35,7 @@ StatusOr<BytesView> Table::cell(uint64_t row, uint32_t column) const {
 
 StatusOr<Bytes*> Table::mutable_cell(uint64_t row, uint32_t column) {
   SDBENC_RETURN_IF_ERROR(CheckBounds(row, column));
-  row_dirty_[row] = true;
+  MarkGroupDirty(row);
   ++row_versions_[row];
   return &rows_[row][column];
 }
@@ -44,7 +45,7 @@ Status Table::DeleteRow(uint64_t row) {
     return OutOfRangeError("row " + std::to_string(row) + " out of range");
   }
   deleted_[row] = true;
-  row_dirty_[row] = true;
+  MarkGroupDirty(row);
   return OkStatus();
 }
 
@@ -52,50 +53,137 @@ bool Table::IsDeleted(uint64_t row) const {
   return row < deleted_.size() && deleted_[row];
 }
 
-Status Table::FlushRows(RecordStore& store) {
-  for (uint64_t row = 0; row < rows_.size(); ++row) {
-    if (!row_dirty_[row]) continue;
-    const Bytes record = EncodeRow(rows_[row], deleted_[row]);
-    if (row_records_[row] == kNoRecord) {
-      SDBENC_ASSIGN_OR_RETURN(row_records_[row], store.Put(record));
-    } else {
-      SDBENC_RETURN_IF_ERROR(store.Update(row_records_[row], record));
+void Table::MarkGroupDirty(uint64_t row) {
+  if (row >= PackedRows(groups_)) return;  // the next flush packs it anyway
+  const auto after = std::upper_bound(
+      groups_.begin(), groups_.end(), row,
+      [](uint64_t r, const RowGroup& g) { return r < g.first_row; });
+  std::prev(after)->dirty = true;
+}
+
+void Table::PackRows(std::vector<RowGroup>& groups, size_t payload) const {
+  uint64_t row = PackedRows(groups);
+  if (row == rows_.size()) return;
+  // Bytes the open tail group already fills.
+  size_t fill = 0;
+  if (!groups.empty()) {
+    fill = kRowGroupHeaderLen;
+    for (uint64_t r = groups.back().first_row; r < row; ++r) {
+      fill += RowGroupSlotSize(rows_[r]);
     }
-    row_dirty_[row] = false;
+  }
+  for (; row < rows_.size(); ++row) {
+    const size_t slot = RowGroupSlotSize(rows_[row]);
+    if (groups.empty() || fill + slot > payload) {
+      groups.push_back(RowGroup{kNoRecord, row, 0, true});
+      fill = kRowGroupHeaderLen;
+    }
+    RowGroup& tail = groups.back();
+    ++tail.count;
+    tail.dirty = true;
+    fill += slot;
+  }
+}
+
+void Table::EncodeGroup(const RowGroup& group, Bytes* out) const {
+  const uint64_t end = group.first_row + group.count;
+  size_t size = kRowGroupHeaderLen;
+  for (uint64_t r = group.first_row; r < end; ++r) {
+    size += RowGroupSlotSize(rows_[r]);
+  }
+  out->resize(size);
+  uint8_t* p = out->data();
+  PutUint32Be(p, group.count);
+  p += kRowGroupHeaderLen;
+  for (uint64_t r = group.first_row; r < end; ++r) {
+    uint8_t* const row_start = p + 4;
+    p = EncodeRowTo(rows_[r], deleted_[r], row_start);
+    PutUint32Be(row_start - 4, static_cast<uint32_t>(p - row_start));
+  }
+}
+
+Status Table::FlushRows(RecordStore& store) {
+  // Free a v1/v2 directory's per-row records first, so the groups that
+  // replace them reuse their pages instead of growing the file.
+  for (const RecordId id : per_row_records_) {
+    SDBENC_RETURN_IF_ERROR(store.Free(id));
+  }
+  per_row_records_.clear();
+  PackRows(groups_, store.payload_size());
+  Bytes buf;
+  for (RowGroup& group : groups_) {
+    if (!group.dirty) continue;
+    EncodeGroup(group, &buf);
+    if (group.record == kNoRecord) {
+      SDBENC_ASSIGN_OR_RETURN(group.record, store.Put(buf));
+    } else {
+      SDBENC_RETURN_IF_ERROR(store.Update(group.record, buf));
+    }
+    group.dirty = false;
   }
   return OkStatus();
 }
 
-Status Table::LoadRows(RecordStore& store, const std::vector<uint64_t>& ids) {
+Status Table::LoadRows(RecordStore& store, const std::vector<RecordId>& ids,
+                       RowDirectory directory) {
   rows_.clear();
   deleted_.clear();
-  rows_.reserve(ids.size());
-  deleted_.reserve(ids.size());
-  for (const uint64_t id : ids) {
-    SDBENC_ASSIGN_OR_RETURN(const Bytes record, store.Get(id));
-    SDBENC_ASSIGN_OR_RETURN(RowRecord row, DecodeRow(record));
+  groups_.clear();
+  per_row_records_.clear();
+  auto adopt = [&](RowRecord& row) -> Status {
     if (row.cells.size() != schema_.num_columns()) {
       return ParseError("stored row arity does not match schema");
     }
     rows_.push_back(std::move(row.cells));
     deleted_.push_back(row.deleted);
+    return OkStatus();
+  };
+  for (const RecordId id : ids) {
+    SDBENC_ASSIGN_OR_RETURN(const Bytes record, store.Get(id));
+    if (directory == RowDirectory::kPerRow) {
+      SDBENC_ASSIGN_OR_RETURN(RowRecord row, DecodeRow(record));
+      SDBENC_RETURN_IF_ERROR(adopt(row));
+      continue;
+    }
+    SDBENC_ASSIGN_OR_RETURN(std::vector<RowRecord> rows,
+                            DecodeRowGroup(record));
+    groups_.push_back(RowGroup{id, rows_.size(),
+                               static_cast<uint32_t>(rows.size()), false});
+    for (RowRecord& row : rows) SDBENC_RETURN_IF_ERROR(adopt(row));
   }
-  row_records_ = ids;
-  row_dirty_.assign(ids.size(), false);
-  row_versions_.assign(ids.size(), 0);
+  if (directory == RowDirectory::kPerRow) per_row_records_ = ids;
+  row_versions_.assign(rows_.size(), 0);
   return OkStatus();
 }
 
 Status Table::DumpRowsTo(RecordStore& store,
-                         std::vector<uint64_t>* ids) const {
+                         std::vector<RecordId>* ids) const {
+  std::vector<RowGroup> groups;
+  PackRows(groups, store.payload_size());
   ids->clear();
-  ids->reserve(rows_.size());
-  for (uint64_t row = 0; row < rows_.size(); ++row) {
-    const Bytes record = EncodeRow(rows_[row], deleted_[row]);
-    SDBENC_ASSIGN_OR_RETURN(const uint64_t id, store.Put(record));
+  ids->reserve(groups.size());
+  Bytes buf;
+  for (const RowGroup& group : groups) {
+    EncodeGroup(group, &buf);
+    SDBENC_ASSIGN_OR_RETURN(const RecordId id, store.Put(buf));
     ids->push_back(id);
   }
   return OkStatus();
+}
+
+StatusOr<std::vector<RecordId>> Table::GroupRecordIds() const {
+  std::vector<RecordId> ids;
+  ids.reserve(groups_.size());
+  for (const RowGroup& group : groups_) {
+    if (group.record == kNoRecord) break;
+    ids.push_back(group.record);
+  }
+  if (ids.size() != groups_.size() || PackedRows(groups_) != rows_.size() ||
+      !per_row_records_.empty()) {
+    return FailedPreconditionError(
+        "table has unflushed rows; Flush() before saving the catalog");
+  }
+  return ids;
 }
 
 }  // namespace sdbenc

@@ -1,6 +1,7 @@
 #ifndef SDBENC_DB_TABLE_H_
 #define SDBENC_DB_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -64,27 +65,60 @@ class Table {
   Status DeleteRow(uint64_t row);
   bool IsDeleted(uint64_t row) const;
 
-  /// Persists every dirty row into `store` as a slotted-row record — new
-  /// rows get fresh records, changed rows are rewritten in place — and
-  /// clears the dirty bits. Rows untouched since the last flush cost
-  /// nothing.
+  /// How LoadRows reads its record directory.
+  enum class RowDirectory {
+    kRowGroups,  ///< one group record per run of rows (catalog v3)
+    kPerRow,     ///< one bare row record per row (catalog v1/v2)
+  };
+
+  /// Persists the rows into `store` as row groups (db/row_codec.h) and
+  /// clears the dirty bits. Rows never flushed join the open tail group,
+  /// then fresh groups: consecutive rows are packed greedily until the next
+  /// row would overflow one page payload, and a row larger than that sits
+  /// alone. Only groups holding a changed row are rewritten, in place, so
+  /// group record ids stay stable; a group that outgrew its page becomes a
+  /// longer chain. Per-row records adopted by LoadRows are freed here once
+  /// their rows are repacked.
   Status FlushRows(RecordStore& store);
 
-  /// Rebuilds the in-memory rows from `ids` (one record id per row, in row
-  /// order), replacing any current content. Adopts `ids` as the rows'
-  /// record directory, so a later FlushRows() updates the same records.
-  Status LoadRows(RecordStore& store, const std::vector<uint64_t>& ids);
+  /// Rebuilds the in-memory rows from `ids` (in row order), replacing any
+  /// current content. Group records are adopted as the table's groups, so a
+  /// later FlushRows() updates the same records; per-row records are kept
+  /// only until that flush repacks and frees them.
+  Status LoadRows(RecordStore& store, const std::vector<RecordId>& ids,
+                  RowDirectory directory);
 
-  /// Writes *all* rows as fresh records into `store` (for full-image dumps
-  /// to a different engine) without touching this table's own record
-  /// directory or dirty bits.
-  Status DumpRowsTo(RecordStore& store, std::vector<uint64_t>* ids) const;
+  /// Packs *all* rows, flushed or not, into fresh group records in `store`
+  /// (for full-image dumps to a different engine) without touching this
+  /// table's own groups or dirty bits.
+  Status DumpRowsTo(RecordStore& store, std::vector<RecordId>* ids) const;
 
-  /// Record id per row in `store` (kNoRecord for rows never flushed).
-  const std::vector<uint64_t>& row_record_ids() const { return row_records_; }
+  /// Group record ids in row order, as the catalog lists them. Fails if
+  /// some rows have not been flushed into groups yet.
+  StatusOr<std::vector<RecordId>> GroupRecordIds() const;
 
  private:
+  // A run of consecutive rows stored as one record.
+  struct RowGroup {
+    RecordId record = kNoRecord;
+    uint64_t first_row = 0;
+    uint32_t count = 0;
+    bool dirty = true;
+  };
+
   Status CheckBounds(uint64_t row, uint32_t column) const;
+  /// Rows held by `groups`; the rows after them have never been packed.
+  static uint64_t PackedRows(const std::vector<RowGroup>& groups) {
+    return groups.empty() ? 0 : groups.back().first_row + groups.back().count;
+  }
+  /// Marks the group holding `row` for rewrite (no-op if not yet packed).
+  void MarkGroupDirty(uint64_t row);
+  /// Packs the rows after PackedRows(groups) onto `groups`, filling its
+  /// last group first; no group exceeds `payload` bytes unless it holds a
+  /// single row.
+  void PackRows(std::vector<RowGroup>& groups, size_t payload) const;
+  /// Encodes `group` into `out` (resized to fit).
+  void EncodeGroup(const RowGroup& group, Bytes* out) const;
 
   uint64_t id_;
   std::string name_;
@@ -92,10 +126,10 @@ class Table {
   std::vector<std::vector<Bytes>> rows_;
   std::vector<bool> deleted_;
   std::vector<uint64_t> row_versions_;
-  // Page-residence bookkeeping: which record holds each row, and which rows
-  // have changed since the last FlushRows().
-  std::vector<uint64_t> row_records_;
-  std::vector<bool> row_dirty_;
+  // Page-residence bookkeeping: the row groups in row order, and per-row
+  // records of a catalog v1/v2 directory awaiting repacking.
+  std::vector<RowGroup> groups_;
+  std::vector<RecordId> per_row_records_;
 };
 
 }  // namespace sdbenc

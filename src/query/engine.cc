@@ -187,31 +187,31 @@ StatusOr<std::vector<uint64_t>> QueryEngine::MatchingRows(
     }
   }
 
-  // Residual filter: decrypt and evaluate candidates row-parallel into
-  // index-addressed flags, then compact in candidate order — the returned
-  // row list matches the serial filter exactly.
+  // Residual filter: live candidates are decrypted in fixed-size batches
+  // (GetRowsCached keeps the cache traffic in candidate order) and
+  // evaluated in candidate order, so the row list and every cache count
+  // match the serial filter at any thread count.
   const obs::StageTimer filter_timer(Metrics().filter_ns, "query.filter");
-  std::vector<uint8_t> keep(candidates.size(), 0);
-  SDBENC_RETURN_IF_ERROR(ParallelFor(
-      candidates.size(), /*grain=*/16, parallelism_,
-      [&](size_t begin, size_t end) -> Status {
-        for (size_t i = begin; i < end; ++i) {
-          const uint64_t row = candidates[i];
-          if (table.IsDeleted(row)) continue;
-          if (plan.residual != nullptr) {
-            SDBENC_ASSIGN_OR_RETURN(std::vector<Value> values,
-                                    state.encrypted_table->GetRowCached(row));
-            SDBENC_ASSIGN_OR_RETURN(bool match,
-                                    plan.residual->Evaluate(schema, values));
-            if (!match) continue;
-          }
-          keep[i] = 1;
-        }
-        return OkStatus();
-      }));
+  std::vector<uint64_t> live;
+  live.reserve(candidates.size());
+  for (const uint64_t row : candidates) {
+    if (!table.IsDeleted(row)) live.push_back(row);
+  }
+  if (plan.residual == nullptr) return live;
+  constexpr size_t kFilterBatch = 1024;
   std::vector<uint64_t> rows;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (keep[i]) rows.push_back(candidates[i]);
+  for (size_t begin = 0; begin < live.size(); begin += kFilterBatch) {
+    const std::vector<uint64_t> batch(
+        live.begin() + begin,
+        live.begin() + std::min(live.size(), begin + kFilterBatch));
+    SDBENC_ASSIGN_OR_RETURN(
+        const std::vector<std::vector<Value>> values,
+        state.encrypted_table->GetRowsCached(batch, parallelism_));
+    for (size_t i = 0; i < batch.size(); ++i) {
+      SDBENC_ASSIGN_OR_RETURN(const bool match,
+                              plan.residual->Evaluate(schema, values[i]));
+      if (match) rows.push_back(batch[i]);
+    }
   }
   return rows;
 }
@@ -281,8 +281,8 @@ StatusOr<QueryResult> QueryEngine::ExecuteSelect(
   SDBENC_ASSIGN_OR_RETURN(std::vector<uint64_t> rows,
                           MatchingRows(*state, plan));
 
-  // Materialise the matched rows once, row-parallel into ordered slots.
-  std::vector<std::vector<Value>> full_rows(rows.size());
+  // Materialise the matched rows once, decrypting row-parallel.
+  std::vector<std::vector<Value>> full_rows;
   {
     const obs::StageTimer timer(Metrics().materialize_ns,
                                 "query.materialize");
@@ -291,15 +291,8 @@ StatusOr<QueryResult> QueryEngine::ExecuteSelect(
       // pass fetches each survivor again (usually from the block cache).
       obs::CountLeak(obs::LeakKind::kResidualRefetches, rows.size());
     }
-    SDBENC_RETURN_IF_ERROR(ParallelFor(
-        rows.size(), /*grain=*/16, parallelism_,
-        [&](size_t begin, size_t end) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            SDBENC_ASSIGN_OR_RETURN(
-                full_rows[i], state->encrypted_table->GetRowCached(rows[i]));
-          }
-          return OkStatus();
-        }));
+    SDBENC_ASSIGN_OR_RETURN(
+        full_rows, state->encrypted_table->GetRowsCached(rows, parallelism_));
   }
 
   // Aggregate query: one result row.

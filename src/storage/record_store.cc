@@ -22,7 +22,7 @@ PageId GetNext(const uint8_t* in) {
 
 }  // namespace
 
-size_t RecordStore::ChunkCapacity() const {
+size_t RecordStore::payload_size() const {
   return engine_->page_size() - kPageHeaderLen;
 }
 
@@ -38,7 +38,7 @@ Status RecordStore::Update(RecordId id, BytesView record) {
 }
 
 Status RecordStore::WriteChain(PageId page, BytesView record, bool fresh) {
-  const size_t cap = ChunkCapacity();
+  const size_t cap = payload_size();
   size_t off = 0;
   Bytes buf(engine_->page_size(), 0);
   // Walk/extend the chain, writing one chunk per page; pages are reused

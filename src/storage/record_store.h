@@ -27,6 +27,10 @@ class RecordStore {
 
   StorageEngine* engine() { return engine_; }
 
+  /// Record bytes one page holds (page_size minus the 12-octet chain
+  /// header): the largest record that costs a single page.
+  size_t payload_size() const;
+
   /// Writes a new record; returns its stable id.
   StatusOr<RecordId> Put(BytesView record);
 
@@ -40,7 +44,6 @@ class RecordStore {
   Status Free(RecordId id);
 
  private:
-  size_t ChunkCapacity() const;
   Status WriteChain(PageId first, BytesView record, bool fresh);
 
   StorageEngine* engine_;

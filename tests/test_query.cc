@@ -5,6 +5,7 @@
 #include "query/expr.h"
 #include "query/planner.h"
 #include "query/sql_parser.h"
+#include "storage/decrypted_cache.h"
 
 namespace sdbenc {
 namespace {
@@ -527,6 +528,57 @@ INSTANTIATE_TEST_SUITE_P(Threads, QueryEngineTest,
                          [](const ::testing::TestParamInfo<size_t>& info) {
                            return "x" + std::to_string(info.param);
                          });
+
+// ------------------------------------------------ cache traffic by threads
+
+// Replays 60 range statements of 120 rows with a residual filter against a
+// table twelve times larger than its decrypted-block cache and returns the
+// cache's counters. The statements decrypt their rows across `threads`
+// workers; each statement alone overflows the cache.
+DecryptedBlockCache::Stats RangeCacheTraffic(size_t threads) {
+  auto db = SecureDatabase::Open(Bytes(32, 0x5c), 77).value();
+  SecureTableOptions options;
+  options.indexed_columns = {"id"};
+  const Schema schema({{"id", ValueType::kInt64, true},
+                       {"grp", ValueType::kInt64, true},
+                       {"payload", ValueType::kString, true}});
+  EXPECT_TRUE(db->CreateTable("big", schema, options).ok());
+  for (int i = 0; i < 800; ++i) {
+    EXPECT_TRUE(db->Insert("big", {Value::Int(i), Value::Int(i % 10),
+                                   Value::Str(std::string(1000, 'p'))})
+                    .ok());
+  }
+  DecryptedBlockCache cache(64 << 10);  // about 64 of the 800 rows
+  db->GetTableState("big").value()->encrypted_table->AttachBlockCache(&cache,
+                                                                      1);
+  const QueryEngine engine(db.get(), Parallelism::Exactly(threads));
+  for (int i = 0; i < 60; ++i) {
+    const int lo = (i * 137) % 680;
+    const ParsedStatement statement =
+        ParseSql("SELECT id, payload FROM big WHERE id >= " +
+                 std::to_string(lo) + " AND id <= " +
+                 std::to_string(lo + 119) + " AND grp < 4")
+            .value();
+    const StatusOr<QueryResult> result = engine.Execute(statement.select);
+    EXPECT_TRUE(result.ok());
+    EXPECT_EQ(result->rows.size(), 48u);
+  }
+  return cache.GetStats();
+}
+
+// The cache's LRU order must not depend on how a statement's rows were
+// split across threads: on an overflowing cache, every hit, miss and
+// eviction count is the same at 1 and 4 threads.
+TEST(QueryCacheTrafficTest, SameAtEveryThreadCountOnOverflowingCache) {
+  const DecryptedBlockCache::Stats one = RangeCacheTraffic(1);
+  const DecryptedBlockCache::Stats four = RangeCacheTraffic(4);
+  EXPECT_GT(one.evictions, 0u);
+  EXPECT_GT(one.hits, 0u);
+  EXPECT_EQ(one.hits, four.hits);
+  EXPECT_EQ(one.misses, four.misses);
+  EXPECT_EQ(one.insertions, four.insertions);
+  EXPECT_EQ(one.evictions, four.evictions);
+}
 
 }  // namespace
 }  // namespace sdbenc

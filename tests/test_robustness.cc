@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
 
 #include "aead/factory.h"
 #include "core/restricted_reader.h"
+#include "core/secure_database.h"
 #include "crypto/aes.h"
 #include "crypto/mac.h"
 #include "db/mu.h"
 #include "db/csv.h"
+#include "db/row_codec.h"
 #include "db/serialize.h"
 #include "query/sql_parser.h"
 #include "schemes/aead_cell.h"
@@ -15,6 +19,11 @@
 #include "schemes/deterministic_encryptor.h"
 #include "schemes/elovici_cell.h"
 #include "schemes/elovici_index.h"
+#include "db/table.h"
+#include "storage/file_storage_engine.h"
+#include "storage/memory_storage_engine.h"
+#include "storage/record_store.h"
+#include "util/file.h"
 #include "util/rng.h"
 
 namespace sdbenc {
@@ -220,6 +229,246 @@ TEST(RobustnessTest, ValueDeserializeFuzz) {
     (void)Value::Deserialize(garbage.Next());
   }
   SUCCEED();
+}
+
+// ------------------------------------------- row groups and catalog v3
+
+// A valid row group record of `n` rows, each (8-octet key, `len`-octet
+// value), every other one a tombstone, as Table::FlushRows writes it.
+Bytes ValidRowGroup(uint32_t n, size_t len) {
+  MemoryStorageEngine engine(kDefaultPageSize);
+  RecordStore store(&engine);
+  Table table(1, "t", Schema({{"k", ValueType::kInt64, true},
+                              {"v", ValueType::kString, true}}));
+  for (uint32_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(
+        table.AppendRow({Bytes(8, static_cast<uint8_t>(i)), Bytes(len, 0x61)})
+            .ok());
+    if (i % 2 == 1) {
+      EXPECT_TRUE(table.DeleteRow(i).ok());
+    }
+  }
+  EXPECT_TRUE(table.FlushRows(store).ok());
+  const std::vector<RecordId> ids = table.GroupRecordIds().value();
+  EXPECT_EQ(ids.size(), 1u);
+  return store.Get(ids.at(0)).value();
+}
+
+void ExpectParseError(const Status& s, const std::string& what) {
+  EXPECT_FALSE(s.ok()) << what;
+  EXPECT_EQ(s.code(), StatusCode::kParseError) << what << ": " << s.ToString();
+}
+
+TEST(RobustnessTest, RowGroupDecodeFuzz) {
+  const Bytes group = ValidRowGroup(3, 20);
+  ASSERT_EQ(DecodeRowGroup(group).value().size(), 3u);
+  for (size_t cut = 0; cut < group.size(); ++cut) {
+    ExpectParseError(
+        DecodeRowGroup(BytesView(group.data(), cut)).status(),
+        "cut at " + std::to_string(cut));
+  }
+  // Hostile counts: none, far more than the bytes can hold (rejected before
+  // any reservation), one too many, one too few.
+  for (const uint32_t count : {0u, 0xffffffffu, 0x20000000u, 4u, 2u}) {
+    Bytes bad = group;
+    PutUint32Be(bad.data(), count);
+    ExpectParseError(DecodeRowGroup(bad).status(),
+                     "count " + std::to_string(count));
+  }
+  // Hostile length slots of the first row.
+  const uint32_t len = GetUint32Be(group.data() + 4);
+  for (const uint32_t l : {0u, 1u, len - 1, len + 1, 0xffffffffu}) {
+    Bytes bad = group;
+    PutUint32Be(bad.data() + 4, l);
+    ExpectParseError(DecodeRowGroup(bad).status(),
+                     "len " + std::to_string(l));
+  }
+  // Random flips decode or fail cleanly; garbage never decodes.
+  DeterministicRng rng(13);
+  for (int i = 0; i < kTrials; ++i) {
+    Bytes corrupt = group;
+    corrupt[rng.UniformUint64(corrupt.size())] ^=
+        static_cast<uint8_t>(1 + rng.UniformUint64(255));
+    const auto decoded = DecodeRowGroup(corrupt);
+    if (!decoded.ok()) {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+    }
+  }
+  GarbageSource garbage(14);
+  for (int i = 0; i < kTrials; ++i) {
+    ExpectParseError(DecodeRowGroup(garbage.Next()).status(), "garbage");
+  }
+}
+
+// Catalog v3 and its row groups, read back by SecureDatabase::Open from a
+// page file an adversary rewrote. Every case must end in kParseError: the
+// page checksums are recomputed by the writer, so only the decoders stand
+// between hostile bytes and the session.
+class CatalogFuzz {
+ public:
+  CatalogFuzz() : path_(::testing::TempDir() + "/sdbenc_catalog_fuzz.pages") {
+    Cleanup();
+    {
+      auto db = SecureDatabase::Open(key_, StorageOptions::File(path_, 8), 1)
+                    .value();
+      SecureTableOptions options;
+      options.indexed_columns = {"k"};
+      const Schema schema({{"k", ValueType::kInt64, true},
+                           {"v", ValueType::kString, true}});
+      EXPECT_TRUE(db->CreateTable("t", schema, options).ok());
+      for (int i = 0; i < 150; ++i) {
+        EXPECT_TRUE(db->Insert("t", {Value::Int(i),
+                                     Value::Str(std::string(40, 'v'))})
+                        .ok());
+      }
+      EXPECT_TRUE(db->Flush().ok());
+    }
+    std::remove((path_ + ".wal").c_str());
+    pristine_ = ReadFile(path_).value();
+    auto engine = FileStorageEngine::Open(path_, 16).value();
+    RecordStore store(engine.get());
+    catalog_id_ = engine->root_record();
+    catalog_ = store.Get(catalog_id_).value();
+    // Skip to the first table's group directory.
+    BinaryReader r(catalog_);
+    EXPECT_EQ(r.GetU32().value(), 3u);
+    (void)r.GetBytes();   // keycheck
+    (void)r.GetU64();     // next index table id
+    (void)r.GetU32();     // table count
+    (void)r.GetU64();     // table id
+    (void)r.GetString();  // name
+    const uint32_t ncols = r.GetU32().value();
+    for (uint32_t c = 0; c < ncols; ++c) {
+      (void)r.GetString();
+      (void)r.GetU8();
+      (void)r.GetU8();
+    }
+    directory_ = catalog_.size() - r.Remaining();
+    const uint64_t n_groups = r.GetU64().value();
+    EXPECT_GE(n_groups, 2u);
+    first_group_ = r.GetU64().value();
+    group_ = store.Get(first_group_).value();
+    for (uint64_t g = 1; g < n_groups; ++g) (void)r.GetU64();
+    (void)r.GetString();  // codec
+    (void)r.GetU32();     // index order
+    EXPECT_EQ(r.GetU32().value(), 1u);
+    (void)r.GetString();  // indexed column
+    (void)r.GetU64();     // index table id
+    // The tree metadata blob: u64 length | u32 root | u64 entries
+    // | u64 next ref | u32 node count | node record ids.
+    node_count_ = catalog_.size() - r.Remaining() + 8 + 4 + 8 + 8;
+    const uint64_t meta_len = r.GetBytes().value().size();
+    EXPECT_EQ(GetUint32Be(catalog_.data() + node_count_), (meta_len - 24) / 8);
+  }
+  ~CatalogFuzz() { Cleanup(); }
+
+  const Bytes& catalog() const { return catalog_; }
+  const Bytes& group() const { return group_; }
+  size_t directory() const { return directory_; }
+  size_t node_count() const { return node_count_; }
+
+  /// Restores the pristine file, replaces the catalog (or the first row
+  /// group) with `bytes`, and returns the open verdict.
+  Status OpenWithCatalog(const Bytes& bytes) {
+    return OpenWith(catalog_id_, bytes);
+  }
+  Status OpenWithGroup(const Bytes& bytes) {
+    return OpenWith(first_group_, bytes);
+  }
+
+ private:
+  Status OpenWith(RecordId id, const Bytes& bytes) {
+    std::remove((path_ + ".wal").c_str());
+    EXPECT_TRUE(WriteFileAtomic(path_, pristine_).ok());
+    {
+      auto engine = FileStorageEngine::Open(path_, 16).value();
+      RecordStore store(engine.get());
+      EXPECT_TRUE(store.Update(id, bytes).ok());
+      EXPECT_TRUE(engine->Flush().ok());
+    }
+    return SecureDatabase::Open(key_, StorageOptions::File(path_, 8), 2)
+        .status();
+  }
+
+  void Cleanup() {
+    std::remove(path_.c_str());
+    std::remove((path_ + ".wal").c_str());
+  }
+
+  const Bytes key_ = Bytes(32, 0x44);
+  const std::string path_;
+  Bytes pristine_;
+  RecordId catalog_id_ = kNoRecord;
+  Bytes catalog_;
+  size_t directory_ = 0;
+  size_t node_count_ = 0;
+  RecordId first_group_ = kNoRecord;
+  Bytes group_;
+};
+
+TEST(RobustnessTest, CatalogV3Fuzz) {
+  CatalogFuzz fuzz;
+  ASSERT_TRUE(fuzz.OpenWithCatalog(fuzz.catalog()).ok());
+  const Bytes& catalog = fuzz.catalog();
+  for (size_t cut = 0; cut < catalog.size(); cut += 5) {
+    ExpectParseError(
+        fuzz.OpenWithCatalog(Bytes(catalog.begin(), catalog.begin() + cut)),
+        "catalog cut at " + std::to_string(cut));
+  }
+  const size_t dir = fuzz.directory();
+  // Group counts no catalog can hold: rejected before any reservation.
+  for (const uint64_t n : {~uint64_t{0}, uint64_t{1} << 61, uint64_t{1000}}) {
+    Bytes bad = catalog;
+    PutUint64Be(bad.data() + dir, n);
+    ExpectParseError(fuzz.OpenWithCatalog(bad),
+                     "group count " + std::to_string(n));
+  }
+  // A directory entry naming no record.
+  {
+    Bytes bad = catalog;
+    PutUint64Be(bad.data() + dir + 8, kNoRecord);
+    ExpectParseError(fuzz.OpenWithCatalog(bad), "group id 0");
+  }
+  // An index node count the tree metadata cannot hold.
+  for (const uint32_t n : {0xffffffffu, 0x10000000u}) {
+    Bytes bad = catalog;
+    PutUint32Be(bad.data() + fuzz.node_count(), n);
+    ExpectParseError(fuzz.OpenWithCatalog(bad),
+                     "node count " + std::to_string(n));
+  }
+  // A directory that drops its last group: the rows left sum to fewer than
+  // the sealed statistics' live count.
+  {
+    const uint64_t n = GetUint64Be(catalog.data() + dir);
+    Bytes bad(catalog.begin(), catalog.begin() + dir + 8 * n);
+    bad.insert(bad.end(), catalog.begin() + dir + 8 + 8 * n, catalog.end());
+    PutUint64Be(bad.data() + dir, n - 1);
+    ExpectParseError(fuzz.OpenWithCatalog(bad), "last group dropped");
+  }
+}
+
+TEST(RobustnessTest, RowGroupRecordFuzz) {
+  CatalogFuzz fuzz;
+  ASSERT_TRUE(fuzz.OpenWithGroup(fuzz.group()).ok());
+  const Bytes& group = fuzz.group();
+  for (size_t cut = 0; cut < group.size(); cut += 97) {
+    ExpectParseError(
+        fuzz.OpenWithGroup(Bytes(group.begin(), group.begin() + cut)),
+        "group cut at " + std::to_string(cut));
+  }
+  const uint32_t count = GetUint32Be(group.data());
+  for (const uint32_t c : {0u, 0xffffffffu, count + 1, count - 1}) {
+    Bytes bad = group;
+    PutUint32Be(bad.data(), c);
+    ExpectParseError(fuzz.OpenWithGroup(bad),
+                     "group count " + std::to_string(c));
+  }
+  const uint32_t len = GetUint32Be(group.data() + 4);
+  for (const uint32_t l : {len - 1, len + 1, 0xffffffffu}) {
+    Bytes bad = group;
+    PutUint32Be(bad.data() + 4, l);
+    ExpectParseError(fuzz.OpenWithGroup(bad), "row len " + std::to_string(l));
+  }
 }
 
 }  // namespace

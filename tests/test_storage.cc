@@ -8,11 +8,15 @@
 #include <vector>
 
 #include "core/secure_database.h"
+#include "db/row_codec.h"
+#include "db/serialize.h"
+#include "db/table.h"
 #include "storage/buffer_pool.h"
 #include "storage/file_storage_engine.h"
 #include "storage/memory_storage_engine.h"
 #include "storage/record_store.h"
 #include "util/file.h"
+#include "util/rng.h"
 
 namespace sdbenc {
 namespace {
@@ -397,6 +401,295 @@ TEST(SecureDatabaseStorageTest, WrongKeyRejectedByKeycheck) {
   ASSERT_FALSE(wrong.ok());
   EXPECT_EQ(wrong.status().code(), StatusCode::kAuthenticationFailed);
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------------------ row groups
+
+// Cells of `n` rows with deterministic pseudo-random lengths in
+// [min_len, max_len].
+std::vector<std::vector<Bytes>> RandomRows(size_t n, size_t min_len,
+                                           size_t max_len, uint64_t seed) {
+  DeterministicRng rng(seed);
+  std::vector<std::vector<Bytes>> rows;
+  for (size_t i = 0; i < n; ++i) {
+    rows.push_back(
+        {rng.RandomBytes(8),
+         rng.RandomBytes(min_len + rng.UniformUint64(max_len - min_len + 1))});
+  }
+  return rows;
+}
+
+Schema TwoCellSchema() {
+  return Schema({{"k", ValueType::kInt64, true},
+                 {"v", ValueType::kString, true}});
+}
+
+// Small rows share pages: greedy packing fills every page but the last to
+// within one row slot of the payload, so the table costs at most one page
+// more than its encoded bytes need — not one page per row.
+TEST(RowGroupTest, SmallRowsSharePages) {
+  MemoryStorageEngine engine(kDefaultPageSize);
+  RecordStore store(&engine);
+  Table table(1, "t", TwoCellSchema());
+  const auto rows = RandomRows(500, 10, 120, 3);
+  size_t bytes = 0;
+  for (const auto& row : rows) {
+    ASSERT_TRUE(table.AppendRow(row).ok());
+    bytes += RowGroupSlotSize(row);
+  }
+  ASSERT_TRUE(table.FlushRows(store).ok());
+  const uint64_t payload = store.payload_size();
+  const uint64_t needed = (bytes + payload - 1) / payload;
+  EXPECT_LE(engine.num_pages(), needed + 1);
+  EXPECT_LT(engine.num_pages(), rows.size() / 10);
+
+  const auto ids = table.GroupRecordIds().value();
+  EXPECT_EQ(ids.size(), engine.num_pages());
+  Table reloaded(1, "t", TwoCellSchema());
+  ASSERT_TRUE(
+      reloaded.LoadRows(store, ids, Table::RowDirectory::kRowGroups).ok());
+  ASSERT_EQ(reloaded.num_rows(), rows.size());
+  for (uint64_t r = 0; r < rows.size(); ++r) {
+    EXPECT_EQ(reloaded.cell(r, 1).value(), BytesView(rows[r][1])) << r;
+  }
+}
+
+// A row larger than one page payload is never packed with neighbours: it
+// sits alone in its group (a chain), and the rows around it pack as usual.
+TEST(RowGroupTest, RowLargerThanPageSitsAlone) {
+  MemoryStorageEngine engine(kDefaultPageSize);
+  RecordStore store(&engine);
+  Table table(1, "t", TwoCellSchema());
+  auto rows = RandomRows(5, 20, 20, 4);
+  rows[2][1] = Bytes(store.payload_size() + 500, 0x5a);
+  for (const auto& row : rows) ASSERT_TRUE(table.AppendRow(row).ok());
+  ASSERT_TRUE(table.FlushRows(store).ok());
+  const auto ids = table.GroupRecordIds().value();
+  ASSERT_EQ(ids.size(), 3u);
+  std::vector<size_t> counts;
+  for (const RecordId id : ids) {
+    counts.push_back(DecodeRowGroup(store.Get(id).value()).value().size());
+  }
+  EXPECT_EQ(counts, (std::vector<size_t>{2, 1, 2}));
+  // The same packing applies to rows appended after a flush: they join the
+  // open tail group while it has room.
+  ASSERT_TRUE(table.AppendRow(RandomRows(1, 20, 20, 5)[0]).ok());
+  ASSERT_TRUE(table.FlushRows(store).ok());
+  EXPECT_EQ(table.GroupRecordIds().value(), ids);
+}
+
+// Reads the on-disk page file as its format describes it: the header's
+// page count and free-list head, each free page's link, and the length of
+// any record chain.
+class PageFileShape {
+ public:
+  explicit PageFileShape(const std::string& path)
+      : file_(ReadFile(path).value()),
+        page_size_(GetUint32Be(file_.data() + 8)),
+        num_pages_(GetUint64Be(file_.data() + 16)) {}
+
+  uint64_t num_pages() const { return num_pages_; }
+  RecordId root() const { return GetUint64Be(file_.data() + 32); }
+
+  uint64_t FreePages() const {
+    uint64_t n = 0;
+    for (PageId p = GetUint64Be(file_.data() + 24);
+         p != kInvalidPageId && n <= num_pages_; p = GetUint64Be(Payload(p))) {
+      ++n;
+    }
+    return n;
+  }
+
+  uint64_t ChainPages(RecordId id) const {
+    uint64_t n = 0;
+    for (uint64_t link = id; link != 0 && n <= num_pages_;
+         link = GetUint64Be(Payload(link - 1))) {
+      ++n;
+    }
+    return n;
+  }
+
+  uint32_t CatalogVersion() const {
+    return GetUint32Be(Payload(root() - 1) + 12);
+  }
+
+ private:
+  const uint8_t* Payload(PageId p) const {
+    return file_.data() + 64 + p * (8 + page_size_) + 8;
+  }
+
+  Bytes file_;
+  size_t page_size_;
+  uint64_t num_pages_;
+};
+
+const Table& RawTable(const SecureDatabase& db, const std::string& name) {
+  return db.GetTableState(name).value()->encrypted_table->table();
+}
+
+// For a database without indexes every page is the catalog's, a row
+// group's, or on the free list.
+void ExpectNoLeakedPage(const SecureDatabase& db, const std::string& path) {
+  const PageFileShape shape(path);
+  uint64_t used = shape.ChainPages(shape.root());
+  const std::vector<RecordId> groups =
+      RawTable(db, "notes").GroupRecordIds().value();
+  for (const RecordId id : groups) used += shape.ChainPages(id);
+  EXPECT_EQ(shape.num_pages(), used + shape.FreePages());
+}
+
+Schema NotesSchema() {
+  return Schema({{"id", ValueType::kInt64, false},
+                 {"note", ValueType::kString, true}});
+}
+
+std::string Note(int i) { return "note-" + std::to_string(i * 7919); }
+
+// An UPDATE that grows a row past its group's page turns the group into a
+// chain; shrinking it back frees the tail. Record ids never move, no page
+// leaks, and the result survives reopen.
+TEST(RowGroupTest, GrowThenShrinkKeepsRecordIdsAndFreesTail) {
+  const std::string path = TempPath("sdbenc_rowgroup_grow.pages");
+  std::remove(path.c_str());
+  const Bytes key(32, 0x31);
+  std::vector<RecordId> ids;
+  {
+    auto db = SecureDatabase::Open(key, StorageOptions::File(path, 8), 1)
+                  .value();
+    ASSERT_TRUE(db->CreateTable("notes", NotesSchema(), {}).ok());
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE(db->Insert("notes", {Value::Int(i), Value::Str(Note(i))})
+                      .ok());
+    }
+    ASSERT_TRUE(db->Flush().ok());
+    ids = RawTable(*db, "notes").GroupRecordIds().value();
+    ASSERT_GT(ids.size(), 1u);
+    ASSERT_LT(ids.size(), 20u);
+    const uint64_t pages_before = PageFileShape(path).num_pages();
+
+    ASSERT_TRUE(db->Update("notes", 5, "note",
+                           Value::Str(std::string(3 * kDefaultPageSize, 'x')))
+                    .ok());
+    ASSERT_TRUE(db->Flush().ok());
+    EXPECT_EQ(RawTable(*db, "notes").GroupRecordIds().value(), ids);
+    const PageFileShape grown(path);
+    EXPECT_GE(grown.num_pages(), pages_before + 3);
+    EXPECT_GE(grown.ChainPages(ids[0]), 4u);
+    ExpectNoLeakedPage(*db, path);
+
+    ASSERT_TRUE(db->Update("notes", 5, "note", Value::Str(Note(5))).ok());
+    ASSERT_TRUE(db->Flush().ok());
+    EXPECT_EQ(RawTable(*db, "notes").GroupRecordIds().value(), ids);
+    const PageFileShape shrunk(path);
+    EXPECT_EQ(shrunk.ChainPages(ids[0]), 1u);
+    EXPECT_GE(shrunk.FreePages(), grown.FreePages() + 3);
+    ExpectNoLeakedPage(*db, path);
+  }
+  auto db =
+      SecureDatabase::Open(key, StorageOptions::File(path, 8), 2).value();
+  EXPECT_EQ(RawTable(*db, "notes").GroupRecordIds().value(), ids);
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(db->GetRow("notes", i).value()[1].AsString(), Note(i)) << i;
+  }
+  EXPECT_TRUE(db->VerifyIntegrity().ok());
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+}
+
+// Rewrites a flushed catalog-v3 page file into the catalog-v2 layout, one
+// bare row record per row, exactly as a file written before row groups.
+void DowngradeToPerRowCatalog(const std::string& path) {
+  auto engine = FileStorageEngine::Open(path, 64).value();
+  RecordStore store(engine.get());
+  const RecordId root = engine->root_record();
+  const Bytes catalog = store.Get(root).value();
+  BinaryReader r(catalog);
+  BinaryWriter w;
+  ASSERT_EQ(r.GetU32().value(), 3u);
+  w.PutU32(2);
+  w.PutBytes(r.GetBytes().value());     // keycheck
+  w.PutU64(r.GetU64().value());         // next index table id
+  ASSERT_EQ(r.GetU32().value(), 1u);    // one table
+  w.PutU32(1);
+  w.PutU64(r.GetU64().value());         // table id
+  w.PutString(r.GetString().value());   // name
+  const uint32_t ncols = r.GetU32().value();
+  w.PutU32(ncols);
+  for (uint32_t c = 0; c < ncols; ++c) {
+    w.PutString(r.GetString().value());
+    w.PutU8(r.GetU8().value());
+    w.PutU8(r.GetU8().value());
+  }
+  std::vector<RowRecord> rows;
+  const uint64_t n_groups = r.GetU64().value();
+  for (uint64_t g = 0; g < n_groups; ++g) {
+    const RecordId id = r.GetU64().value();
+    std::vector<RowRecord> group =
+        DecodeRowGroup(store.Get(id).value()).value();
+    for (RowRecord& row : group) rows.push_back(std::move(row));
+    ASSERT_TRUE(store.Free(id).ok());
+  }
+  w.PutU64(rows.size());
+  for (const RowRecord& row : rows) {
+    Bytes record(EncodedRowSize(row.cells));
+    EncodeRowTo(row.cells, row.deleted, record.data());
+    w.PutU64(store.Put(record).value());
+  }
+  // The rest (codec, index order, indexes, sealed stats) is unchanged.
+  Bytes image = w.Take();
+  const size_t tail = catalog.size() - r.Remaining();
+  image.insert(image.end(), catalog.begin() + tail, catalog.end());
+  ASSERT_TRUE(store.Update(root, image).ok());
+  ASSERT_TRUE(engine->Flush().ok());
+}
+
+// A catalog-v2 file (one page per row) opens, and its next flush repacks
+// the rows into groups, writes catalog v3, frees every per-row record and
+// leaks no page.
+TEST(RowGroupTest, PerRowCatalogRepacksOnFlushWithoutLeaking) {
+  const std::string path = TempPath("sdbenc_rowgroup_v2.pages");
+  std::remove(path.c_str());
+  const Bytes key(32, 0x32);
+  {
+    auto db = SecureDatabase::Open(key, StorageOptions::File(path, 8), 1)
+                  .value();
+    ASSERT_TRUE(db->CreateTable("notes", NotesSchema(), {}).ok());
+    for (int i = 0; i < 120; ++i) {
+      ASSERT_TRUE(db->Insert("notes", {Value::Int(i), Value::Str(Note(i))})
+                      .ok());
+    }
+    ASSERT_TRUE(db->Delete("notes", 17).ok());
+    ASSERT_TRUE(db->Flush().ok());
+  }
+  DowngradeToPerRowCatalog(path);
+  const PageFileShape v2(path);
+  ASSERT_EQ(v2.CatalogVersion(), 2u);
+  ASSERT_GE(v2.num_pages(), 120u);
+  {
+    auto db = SecureDatabase::Open(key, StorageOptions::File(path, 8), 2)
+                  .value();
+    EXPECT_EQ(db->GetRow("notes", 3).value()[1].AsString(), Note(3));
+    EXPECT_FALSE(db->GetRow("notes", 17).ok());
+    ASSERT_TRUE(db->Flush().ok());
+    const PageFileShape v3(path);
+    EXPECT_EQ(v3.CatalogVersion(), 3u);
+    EXPECT_EQ(v3.num_pages(), v2.num_pages());  // repacked into freed pages
+    EXPECT_GE(v3.FreePages(), v2.FreePages() + 100);
+    ExpectNoLeakedPage(*db, path);
+  }
+  auto db =
+      SecureDatabase::Open(key, StorageOptions::File(path, 8), 3).value();
+  EXPECT_LT(RawTable(*db, "notes").GroupRecordIds().value().size(), 10u);
+  for (int i = 0; i < 120; ++i) {
+    if (i == 17) {
+      EXPECT_FALSE(db->GetRow("notes", i).ok());
+    } else {
+      EXPECT_EQ(db->GetRow("notes", i).value()[1].AsString(), Note(i)) << i;
+    }
+  }
+  EXPECT_TRUE(db->VerifyIntegrity().ok());
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
 }
 
 // ------------------------------------------------- concurrent access
