@@ -52,6 +52,9 @@ DEFAULT_REQUIRED_NONZERO = [
     "sdbenc_aead_open_total",
     "sdbenc_storage_pool_hits_total",
     "sdbenc_storage_pool_misses_total",
+    # Every page-file fsync (checkpoint, recovery, a commit covering
+    # unlogged evictions) counts here; the smoke run's Flush makes some.
+    "sdbenc_storage_page_file_syncs_total",
     "sdbenc_core_select_range_ns",
     "sdbenc_core_collect_rows_ns",
 ]

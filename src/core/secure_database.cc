@@ -638,9 +638,10 @@ Status SecureDatabase::WriteCatalog(BinaryWriter& w,
 }
 
 // Pushes everything changed since the last flush — dirty rows, dirty index
-// nodes, the catalog — into the engine's pages (and, on a WAL-backed
-// engine, into the log). Durability is the caller's next step: Flush()
-// checkpoints, CommitDurable() group-commits.
+// nodes, the catalog — into the engine's pages (on a WAL-backed engine,
+// writes to pages holding committed content also go into the log).
+// Durability is the caller's next step: Flush() checkpoints,
+// CommitDurable() group-commits.
 Status SecureDatabase::FlushToEngine() {
   SDBENC_RETURN_IF_ERROR(CheckOpen());
   for (const auto& state : tables_) {

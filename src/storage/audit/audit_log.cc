@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -13,6 +12,7 @@
 #include "crypto/hash.h"
 #include "obs/metrics.h"
 #include "util/constant_time.h"
+#include "util/crc32.h"
 #include "util/hex.h"
 #include "util/rng.h"
 
@@ -46,28 +46,6 @@ constexpr size_t kFramePrefixLen = 8;
 // plaintext = u64 wall_ms | detail; cap the detail so a corrupted length
 // field cannot drive a huge allocation during the scan.
 constexpr size_t kMaxDetailLen = 1 << 16;
-
-// Same IEEE 802.3 reflected CRC-32 as the WAL frame layer: a cheap
-// write-sanity check so Open() can tell a crash-torn tail from a readable
-// frame. It carries no authority — the chain's evidence is the AEAD tags.
-uint32_t Crc32(BytesView data) {
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (const uint8_t b : data) {
-    crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 Bytes Checksum(BytesView data) {
   Bytes digest = ComputeHash(HashAlgorithm::kSha256, data);

@@ -44,11 +44,4 @@ StatusOr<BufferPool::Frame*> BufferPool::Insert(PageId id, Bytes data,
   return &lru_.front();
 }
 
-void BufferPool::Drop(PageId id) {
-  auto it = index_.find(id);
-  if (it == index_.end()) return;
-  lru_.erase(it->second);
-  index_.erase(it);
-}
-
 }  // namespace sdbenc

@@ -11,8 +11,9 @@
 namespace sdbenc {
 
 /// Fixed-capacity LRU cache of page frames for the FileStorageEngine.
-/// Frames carry a dirty bit (page newer than disk) and a pin count (frame
-/// must not be evicted while some caller reads/writes through it). The pool
+/// Frames carry a dirty bit (page newer than disk), an unlogged bit (dirty
+/// content the WAL has not seen) and a pin count (frame must not be
+/// evicted while some caller reads/writes through it). The pool
 /// itself never touches the disk: eviction hands the victim back to the
 /// caller, which owns the writeback.
 ///
@@ -32,6 +33,10 @@ class BufferPool {
     /// engine forces the log durable past it before writing the frame back
     /// (write-ahead rule). 0 = no pending log record.
     uint64_t wal_lsn = 0;
+    /// Dirty content written without a WAL record: the page holds nothing
+    /// committed, so it is written back without waiting on the log, and
+    /// the next durability point logs it (or syncs it if evicted).
+    bool unlogged = false;
   };
 
   explicit BufferPool(size_t capacity)
@@ -55,10 +60,6 @@ class BufferPool {
   /// Inserts a frame for `id` (must not be resident; caller evicts first
   /// when Full()). Returns the resident frame, most-recently-used.
   StatusOr<Frame*> Insert(PageId id, Bytes data, bool dirty);
-
-  /// Removes `id` if resident, discarding its contents (used by Free —
-  /// a freed page's dirty data must never be written back).
-  void Drop(PageId id);
 
   /// All resident frames, LRU last; FlushAll in the engine walks this to
   /// write back dirty frames without evicting them.

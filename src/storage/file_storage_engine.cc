@@ -29,6 +29,7 @@ struct StorageMetrics {
   obs::Counter* dirty_writebacks;
   obs::Counter* read_bytes;
   obs::Counter* write_bytes;
+  obs::Counter* page_file_syncs;
   obs::Histogram* fault_ns;
   obs::Histogram* stripe_wait_ns;
 };
@@ -43,6 +44,7 @@ const StorageMetrics& Metrics() {
       obs::Registry().GetCounter("sdbenc_storage_dirty_writebacks_total"),
       obs::Registry().GetCounter("sdbenc_storage_read_bytes_total"),
       obs::Registry().GetCounter("sdbenc_storage_write_bytes_total"),
+      obs::Registry().GetCounter("sdbenc_storage_page_file_syncs_total"),
       obs::Registry().GetHistogram("sdbenc_storage_fault_ns"),
       obs::Registry().GetHistogram("sdbenc_storage_stripe_wait_ns"),
   };
@@ -272,8 +274,14 @@ Status FileStorageEngine::ApplyRecovery(const WalRecoveredState& recovered) {
                        std::memory_order_relaxed);
   }
   SDBENC_RETURN_IF_ERROR(WriteHeader());
+  return SyncPageFile();
+}
+
+Status FileStorageEngine::SyncPageFile() {
+  Metrics().page_file_syncs->Increment();
   if (::fsync(fd_) != 0) {
-    return InternalError("page file fsync failed after WAL replay");
+    return InternalError(std::string("page file fsync failed: ") +
+                         std::strerror(errno));
   }
   return OkStatus();
 }
@@ -338,32 +346,28 @@ StatusOr<BufferPool::Frame*> FileStorageEngine::InsertFrameLocked(
     if (victim.dirty) {
       ++stats_.dirty_writebacks;
       Metrics().dirty_writebacks->Increment();
-      if (wal_ != nullptr && victim.wal_lsn != 0) {
+      if (victim.wal_lsn != 0) {
         // Write-ahead rule: the log must hold this frame's records
         // durably before its (possibly uncommitted) bytes land over the
-        // committed image. LRU victims carry old LSNs, so this normally
-        // returns without waiting.
+        // committed image. An unlogged frame has no record to wait for:
+        // nothing committed lives at its page.
         SDBENC_RETURN_IF_ERROR(wal_->WaitDurable(victim.wal_lsn));
       }
       // Written back while the stripe is still locked: if a concurrent
       // miss on this page faulted from disk first, it would read bytes
       // older than the frame it just lost the race to.
       SDBENC_RETURN_IF_ERROR(WritePageToDisk(victim.id, victim.data));
+      if (victim.unlogged) stripe.unlogged_evictions.push_back(victim.id);
     }
   }
   return stripe.pool.Insert(id, std::move(payload), dirty);
 }
 
 StatusOr<BufferPool::Frame*> FileStorageEngine::FetchFrameLocked(
-    Stripe& stripe, PageId id, bool from_disk) {
+    Stripe& stripe, PageId id) {
   Bytes payload;
-  if (from_disk) {
-    SDBENC_RETURN_IF_ERROR(ReadPageFromDisk(id, &payload));
-  } else {
-    payload.assign(page_size_, 0);
-  }
-  return InsertFrameLocked(stripe, id, std::move(payload),
-                           /*dirty=*/!from_disk);
+  SDBENC_RETURN_IF_ERROR(ReadPageFromDisk(id, &payload));
+  return InsertFrameLocked(stripe, id, std::move(payload), /*dirty=*/false);
 }
 
 StatusOr<uint64_t> FileStorageEngine::LogPageWrite(
@@ -371,17 +375,27 @@ StatusOr<uint64_t> FileStorageEngine::LogPageWrite(
   bool need_before = false;
   {
     const MutexLock lock(wal_mu_);
-    if (id < checkpoint_pages_ && imaged_.insert(id).second) {
-      need_before = true;
+    // Committed content in the page file: checkpointed, or covered by a
+    // commit's page-file sync.
+    bool on_disk = id < checkpoint_pages_;
+    if (!on_disk) {
+      const auto it = covered_.find(id);
+      // No commit since the checkpoint has covered this page, so nothing
+      // committed lives here: the write skips the log, and the next
+      // durability point covers it.
+      if (it == covered_.end()) return 0;
+      on_disk = it->second;
     }
+    need_before = on_disk && imaged_.insert(id).second;
   }
   if (need_before) {
-    // First post-checkpoint touch of a checkpointed page: log its
-    // committed content so an uncommitted eviction can be undone. A clean
+    // First overwrite this epoch of committed content that only the page
+    // file holds: log it so an uncommitted eviction can be undone. A clean
     // frame matches disk; a dirty frame cannot occur here (its first
-    // write already imaged the page); otherwise the committed bytes are
-    // on disk. An unreadable disk page means nothing committed lives
-    // there (allocated but never written) — no before-image needed.
+    // write already imaged the page, and a page is covered only once it
+    // has no unlogged frame); otherwise the committed bytes are on disk.
+    // An unreadable disk page means nothing committed lives there
+    // (allocated but never written) — no before-image needed.
     Bytes before;
     bool have_before = false;
     if (frame != nullptr && !frame->dirty) {
@@ -414,8 +428,7 @@ StatusOr<PageId> FileStorageEngine::Allocate() {
     } else {
       ++stats_.pool_misses;
       Metrics().pool_misses->Increment();
-      SDBENC_ASSIGN_OR_RETURN(
-          frame, FetchFrameLocked(stripe, id, /*from_disk=*/true));
+      SDBENC_ASSIGN_OR_RETURN(frame, FetchFrameLocked(stripe, id));
     }
     free_head_ = GetUint64Be(frame->data.data());
     return id;
@@ -472,14 +485,24 @@ Status FileStorageEngine::Write(PageId id, BytesView data) {
   payload.resize(page_size_, 0);
   Stripe& stripe = StripeFor(id);
   const MutexLock lock(stripe.mu);
+  SDBENC_ASSIGN_OR_RETURN(const bool resident,
+                          WriteFrameLocked(stripe, id, std::move(payload)));
+  if (resident) {
+    ++stats_.pool_hits;
+    Metrics().pool_hits->Increment();
+  }
+  return OkStatus();
+}
+
+StatusOr<bool> FileStorageEngine::WriteFrameLocked(Stripe& stripe, PageId id,
+                                                   Bytes payload) {
   BufferPool::Frame* frame = stripe.pool.Lookup(id);
+  const bool resident = frame != nullptr;
   uint64_t lsn = 0;
   if (wal_ != nullptr) {
     SDBENC_ASSIGN_OR_RETURN(lsn, LogPageWrite(id, frame, payload));
   }
-  if (frame != nullptr) {
-    ++stats_.pool_hits;
-    Metrics().pool_hits->Increment();
+  if (resident) {
     frame->data = std::move(payload);
   } else {
     // Whole-page overwrite: no need to fault the old content in from disk.
@@ -489,7 +512,8 @@ Status FileStorageEngine::Write(PageId id, BytesView data) {
   }
   frame->dirty = true;
   frame->wal_lsn = lsn;
-  return OkStatus();
+  frame->unlogged = wal_ != nullptr && lsn == 0;
+  return resident;
 }
 
 Status FileStorageEngine::Free(PageId id) {
@@ -503,26 +527,49 @@ Status FileStorageEngine::Free(PageId id) {
   PutUint64Be(link.data(), free_head_);
   Stripe& stripe = StripeFor(id);
   const MutexLock lock(stripe.mu);
-  BufferPool::Frame* frame = stripe.pool.Lookup(id);
-  uint64_t lsn = 0;
-  if (wal_ != nullptr) {
-    SDBENC_ASSIGN_OR_RETURN(lsn, LogPageWrite(id, frame, link));
-  }
-  if (frame != nullptr) {
-    frame->data = std::move(link);
-  } else {
-    SDBENC_ASSIGN_OR_RETURN(
-        frame, InsertFrameLocked(stripe, id, std::move(link),
-                                 /*dirty=*/true));
-  }
-  frame->dirty = true;
-  frame->wal_lsn = lsn;
+  SDBENC_RETURN_IF_ERROR(
+      WriteFrameLocked(stripe, id, std::move(link)).status());
   free_head_ = id;
   return OkStatus();
 }
 
 Status FileStorageEngine::CommitBatch() {
   if (wal_ == nullptr) return Flush();
+  // Cover the unlogged pages before the commit record. Those evicted since
+  // the last durability point are already in the page file: one sync makes
+  // them durable. The rest are resident: their afterimages join the
+  // commit's fsync. Each stripe is settled under its latch, so a page is
+  // marked covered only once it has no unlogged frame left.
+  std::vector<size_t> evicted(stripes_.size());
+  bool any_evicted = false;
+  for (size_t i = 0; i < stripes_.size(); ++i) {
+    const MutexLock lock(stripes_[i]->mu);
+    evicted[i] = stripes_[i]->unlogged_evictions.size();
+    any_evicted = any_evicted || evicted[i] != 0;
+  }
+  if (any_evicted) SDBENC_RETURN_IF_ERROR(SyncPageFile());
+  for (size_t i = 0; i < stripes_.size(); ++i) {
+    Stripe& stripe = *stripes_[i];
+    const MutexLock lock(stripe.mu);
+    if (stripe.unlogged_evictions.size() > evicted[i]) {
+      // A concurrent writer's eviction landed after the sync began; the
+      // latch keeps any further one out until this stripe is settled.
+      SDBENC_RETURN_IF_ERROR(SyncPageFile());
+    }
+    const MutexLock wal_lock(wal_mu_);
+    for (BufferPool::Frame& frame : stripe.pool.frames()) {
+      if (!frame.unlogged) continue;
+      SDBENC_ASSIGN_OR_RETURN(frame.wal_lsn,
+                              wal_->AppendPageImage(frame.id, frame.data));
+      frame.unlogged = false;
+      covered_.emplace(frame.id, false);
+    }
+    // emplace keeps a page logged above as covered in the log.
+    for (const PageId id : stripe.unlogged_evictions) {
+      covered_.emplace(id, true);
+    }
+    stripe.unlogged_evictions.clear();
+  }
   WalCommitMeta meta;
   {
     const MutexLock meta_lock(meta_mu_);
@@ -550,21 +597,22 @@ Status FileStorageEngine::Flush() {
       SDBENC_RETURN_IF_ERROR(WritePageToDisk(frame.id, frame.data));
       frame.dirty = false;
       frame.wal_lsn = 0;
+      frame.unlogged = false;
       ++stats_.dirty_writebacks;
       Metrics().dirty_writebacks->Increment();
     }
+    stripe->unlogged_evictions.clear();
   }
   {
     const MutexLock meta_lock(meta_mu_);
     SDBENC_RETURN_IF_ERROR(WriteHeader());
   }
-  if (::fsync(fd_) != 0) {
-    return InternalError("page file fsync failed");
-  }
+  SDBENC_RETURN_IF_ERROR(SyncPageFile());
   if (wal_ != nullptr) {
     {
       const MutexLock lock(wal_mu_);
       imaged_.clear();
+      covered_.clear();
       checkpoint_pages_ = num_pages_.load(std::memory_order_acquire);
     }
     SDBENC_RETURN_IF_ERROR(wal_->Checkpoint());

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -49,15 +50,21 @@ namespace sdbenc {
 /// *to the same page* may return either the old or the new content.
 ///
 /// Durability: without a WAL, pages reach disk on eviction and Flush()
-/// (which now also fsyncs). With `Options::enable_wal`, every page write
-/// is first sealed into `path + ".wal"`; CommitBatch() group-commits the
-/// log (one fsync amortised over all concurrent writers) instead of
-/// checkpointing the image, Flush() checkpoints (pages + header + fsync,
-/// then truncates the log), and Open() replays the log when the crash left
-/// the image behind it. Dirty evictions respect the write-ahead rule
-/// (force the log past the frame's last record before writeback) and log a
-/// before-image the first time a checkpointed page is overwritten, so an
-/// uncommitted eviction can never destroy committed content.
+/// (which also fsyncs). With `Options::enable_wal`, a write is logged only
+/// when its page may hold committed content: a checkpointed page (id below
+/// the page count at the last checkpoint) or a page a commit has covered
+/// since. Such a write appends its afterimage to `path + ".wal"`, plus a
+/// before-image the first time a page whose committed content lives only
+/// in the page file is overwritten, so an uncommitted eviction can never
+/// destroy committed content; evicting its frame first forces the log past
+/// the frame's record (write-ahead rule). Every other write is unlogged:
+/// nothing committed lives at that page, so its frame is evicted straight
+/// to the page file. CommitBatch() covers the unlogged pages (it syncs the
+/// page file if any were evicted, and logs the afterimages of those still
+/// resident), then group-commits a commit record (one fsync amortised over
+/// all concurrent writers) instead of checkpointing the image. Flush()
+/// checkpoints (commit, pages + header + fsync, then truncates the log),
+/// and Open() replays the log when the crash left the image behind it.
 class FileStorageEngine : public StorageEngine {
  public:
   struct Options {
@@ -112,10 +119,11 @@ class FileStorageEngine : public StorageEngine {
   /// complete, reopenable image that no longer needs the log.
   Status Flush() override;
 
-  /// Durability point: with a WAL, appends a commit record carrying the
-  /// metadata snapshot and group-commits the log — everything written so
-  /// far survives a crash without the full checkpoint. Without a WAL,
-  /// falls back to Flush().
+  /// Durability point: with a WAL, covers the unlogged pages (a page-file
+  /// sync if any of their frames were evicted, afterimages for the rest),
+  /// then appends a commit record carrying the metadata snapshot and
+  /// group-commits the log — everything written so far survives a crash
+  /// without the full checkpoint. Without a WAL, falls back to Flush().
   Status CommitBatch() override;
 
   void set_root_record(uint64_t record) override {
@@ -152,6 +160,9 @@ class FileStorageEngine : public StorageEngine {
     /// as the global lock-wait histogram.
     mutable Mutex mu{lockrank::kStorageStripe, "storage.stripe"};
     BufferPool pool SDB_GUARDED_BY(mu);
+    /// Pages whose unlogged frames were written back since the last
+    /// durability point; CommitBatch() syncs them and marks them covered.
+    std::vector<PageId> unlogged_evictions SDB_GUARDED_BY(mu);
     explicit Stripe(size_t capacity) : pool(capacity) {}
   };
 
@@ -173,21 +184,31 @@ class FileStorageEngine : public StorageEngine {
                                                  Bytes payload, bool dirty)
       SDB_REQUIRES(stripe.mu);
 
-  /// Faults `id` into `stripe` (verifying its checksum when it comes from
-  /// disk), evicting if needed. Caller holds the stripe lock, which is
-  /// kept across the disk I/O — the metadata paths (Allocate/Free/Write)
-  /// use this, while the hot Read-miss path drops the lock around its
-  /// fault instead.
-  StatusOr<BufferPool::Frame*> FetchFrameLocked(Stripe& stripe, PageId id,
-                                                bool from_disk)
+  /// Faults `id` into `stripe` from disk (verifying its checksum),
+  /// evicting if needed. Caller holds the stripe lock, which is kept
+  /// across the disk I/O — Allocate uses this, while the hot Read-miss
+  /// path drops the lock around its fault instead.
+  StatusOr<BufferPool::Frame*> FetchFrameLocked(Stripe& stripe, PageId id)
       SDB_REQUIRES(stripe.mu);
 
   /// WAL hook for a full-page update `id` := `after`, called with the
-  /// stripe lock held. Logs a before-image on the first post-checkpoint
-  /// touch of a checkpointed page (`frame` is the page's current frame or
-  /// nullptr) and the afterimage; returns the afterimage's LSN.
+  /// stripe lock held. Returns 0 when the write takes the unlogged path
+  /// (the page holds nothing committed). Otherwise logs a before-image on
+  /// the first overwrite this epoch of a page whose committed content
+  /// lives only in the page file (`frame` is the page's current frame or
+  /// nullptr), then the afterimage, and returns the afterimage's LSN.
   StatusOr<uint64_t> LogPageWrite(PageId id, const BufferPool::Frame* frame,
                                   BytesView after);
+
+  /// The full-page update `id` := `payload` (Write and Free): logs it
+  /// through LogPageWrite and stores it as the page's dirty frame. Returns
+  /// whether the page was resident.
+  StatusOr<bool> WriteFrameLocked(Stripe& stripe, PageId id, Bytes payload)
+      SDB_REQUIRES(stripe.mu);
+
+  /// The one fsync of the page file: checkpoint, recovery and a commit
+  /// covering unlogged evictions all come through here.
+  Status SyncPageFile();
 
   Status WritePageToDisk(PageId id, BytesView payload);
   Status ReadPageFromDisk(PageId id, Bytes* payload);
@@ -210,11 +231,20 @@ class FileStorageEngine : public StorageEngine {
 
   std::unique_ptr<WriteAheadLog> wal_;
   /// Checkpoint bookkeeping; wal_mu_ nests inside stripe locks
-  /// (LogPageWrite runs under the page's stripe latch).
+  /// (LogPageWrite runs under the page's stripe latch), and the WAL's own
+  /// mutex nests inside it (CommitBatch appends afterimages under it).
   Mutex wal_mu_{lockrank::kStorageCheckpoint, "storage.checkpoint"};
-  /// Pages whose checkpoint-time content is already in the log this epoch.
+  /// Pages whose committed content is already in the log this epoch.
   std::unordered_set<PageId> imaged_ SDB_GUARDED_BY(wal_mu_);
+  /// Page count at the last checkpoint: pages below it hold checkpointed
+  /// content, so every write to them is logged.
   uint64_t checkpoint_pages_ SDB_GUARDED_BY(wal_mu_) = 0;
+  /// Pages at or past checkpoint_pages_ that a commit since the checkpoint
+  /// has covered, so writes to them are logged. The value is true when the
+  /// commit covered the page through the page-file sync: its committed
+  /// content is not in the log, so it needs a before-image like a
+  /// checkpointed page.
+  std::unordered_map<PageId, bool> covered_ SDB_GUARDED_BY(wal_mu_);
   RecoveryInfo recovery_;
 };
 

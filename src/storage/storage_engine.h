@@ -72,8 +72,9 @@ struct StorageOptions {
 ///  - Flush() makes every accepted Write() durable (no-op in memory).
 ///  - CommitBatch() is the cheap durability point: engines with a WAL make
 ///    everything written so far recoverable (one group-committed fsync of
-///    the log) without checkpointing the page image; engines without one
-///    fall back to Flush().
+///    the log, plus a page-file fsync when pages written outside the log
+///    were evicted) without checkpointing the page image; engines without
+///    one fall back to Flush().
 ///  - set_root_record()/root_record() persist one u64 bootstrap pointer so
 ///    a reopened file can find its catalog without scanning.
 class StorageEngine {

@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -13,6 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/constant_time.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace sdbenc {
@@ -57,28 +57,6 @@ constexpr uint8_t kPageImage = 1;
 constexpr uint8_t kBeforeImage = 2;
 constexpr uint8_t kCommit = 3;
 constexpr uint8_t kNote = 4;
-
-// IEEE 802.3 reflected CRC-32 (poly 0xEDB88320). This is the torn-write
-// detector for the frame layer — cheap, not cryptographic; authenticity is
-// the AEAD tag's job.
-uint32_t Crc32(BytesView data) {
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (const uint8_t b : data) {
-    crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 Bytes Checksum(BytesView data) {
   Bytes digest = ComputeHash(HashAlgorithm::kSha256, data);
@@ -347,7 +325,10 @@ StatusOr<uint64_t> WriteAheadLog::AppendRecord(uint8_t type, BytesView body) {
   Metrics().records->Increment();
   Metrics().bytes->Add(kFramePrefixLen + body_len);
   lock.Unlock();
-  work_cv_.NotifyOne();
+  // Only a commit record wakes the committer. Page and note records wait
+  // for the durability point they belong to (a commit, or a WaitDurable
+  // from the write-ahead rule), so a batch's records share one fsync.
+  if (type == kCommit) work_cv_.NotifyOne();
   return lsn;
 }
 
@@ -384,6 +365,7 @@ StatusOr<uint64_t> WriteAheadLog::AppendCommit(const WalCommitMeta& meta) {
 
 Status WriteAheadLog::WaitDurable(uint64_t lsn) {
   const MutexLock lock(mu_);
+  if (durable_lsn_ < lsn) work_cv_.NotifyOne();
   while (durable_lsn_ < lsn && io_error_.ok()) durable_cv_.Wait(mu_);
   return io_error_;
 }
@@ -398,6 +380,7 @@ Status WriteAheadLog::Checkpoint() {
   // Drain: never truncate records a producer was promised an LSN for while
   // their frames are still in flight (an evicted dirty frame may hold that
   // LSN and later WaitDurable on it).
+  if (!pending_.empty()) work_cv_.NotifyOne();
   while ((!pending_.empty() || writing_) && io_error_.ok()) {
     durable_cv_.Wait(mu_);
   }

@@ -84,9 +84,11 @@ struct WalRecoveredState {
 ///
 /// Group commit: producers append records under a small mutex and receive
 /// an LSN; a dedicated committer thread writes batches and issues one
-/// fsync per batch. Commit(meta) appends a commit record and blocks until
-/// the committer has made it durable; every record that joined the batch
-/// rides the same fsync.
+/// fsync per batch. Appending a page or note record does not wake the
+/// committer: the record waits for the next durability point. Commit(meta)
+/// appends a commit record and blocks until the committer has made it
+/// durable; every record appended before it rides the same fsync.
+/// WaitDurable(lsn) wakes the committer for the same purpose.
 ///
 /// Thread safety: all public methods are safe to call concurrently.
 /// Checkpoint() assumes the caller has already made the page file durable

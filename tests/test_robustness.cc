@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "aead/factory.h"
 #include "core/restricted_reader.h"
@@ -23,6 +25,8 @@
 #include "storage/file_storage_engine.h"
 #include "storage/memory_storage_engine.h"
 #include "storage/record_store.h"
+#include "storage/wal/wal.h"
+#include "util/crc32.h"
 #include "util/file.h"
 #include "util/rng.h"
 
@@ -469,6 +473,125 @@ TEST(RobustnessTest, RowGroupRecordFuzz) {
     PutUint32Be(bad.data() + 4, l);
     ExpectParseError(fuzz.OpenWithGroup(bad), "row len " + std::to_string(l));
   }
+}
+
+// WAL bodies. A 3-commit log, then: every truncation replays to a prefix
+// of the commits; every single-bit flip inside a sealed body (type octet,
+// ciphertext, tag), with the frame CRC re-forged, fails authentication;
+// and a hostile body_len ends the scan like a torn tail. Replay checks a
+// body_len against its cap (header of 9 + page id 8 + page + tag + 4096)
+// before sizing the body buffer, so no length can make it allocate more.
+// The LSN octets are left out of the flips: a CRC-valid LSN jump also ends
+// the scan, which gains an adversary nothing over truncating the file.
+TEST(RobustnessTest, WalReplayFuzz) {
+  constexpr size_t kPs = 64;
+  constexpr size_t kHeader = 64;
+  constexpr size_t kFramePrefix = 8;  // u32 body_len | u32 crc
+  constexpr size_t kBodyPrefix = 9;   // u64 lsn | u8 type
+  constexpr size_t kTag = 16;         // GCM
+  constexpr size_t kMaxBody = kBodyPrefix + 8 + kPs + kTag + 4096;
+  const std::string path = ::testing::TempDir() + "/sdbenc_wal_fuzz.wal";
+  WalOptions options;
+  options.key = Bytes(16, 0x5A);
+  // Expected state after k commits, k = 0..3.
+  std::vector<std::map<PageId, Bytes>> pages_after(1);
+  std::vector<WalCommitMeta> meta_after(1);
+  {
+    auto wal = WriteAheadLog::Create(path, kPs, options);
+    ASSERT_TRUE(wal.ok());
+    std::map<PageId, Bytes> pages;
+    for (int c = 1; c <= 3; ++c) {
+      for (int j = 0; j < 2; ++j) {
+        const PageId id = static_cast<PageId>((c + j) % 4);
+        const Bytes image(kPs, static_cast<uint8_t>(c * 16 + j));
+        ASSERT_TRUE((*wal)->AppendPageImage(id, image).ok());
+        pages[id] = image;
+      }
+      WalCommitMeta meta;
+      meta.num_pages = 4 + c;
+      meta.root_record = 100 + c;
+      ASSERT_TRUE((*wal)->Commit(meta).ok());
+      pages_after.push_back(pages);
+      meta_after.push_back(meta);
+    }
+  }
+  auto file = ReadFile(path);
+  ASSERT_TRUE(file.ok());
+  const Bytes log = std::move(file).value();
+  // Frame i spans [frame_start[i], frame_start[i + 1]); every third frame
+  // is a commit record.
+  std::vector<size_t> frame_start;
+  for (size_t off = kHeader; off < log.size();
+       off += kFramePrefix + GetUint32Be(log.data() + off)) {
+    frame_start.push_back(off);
+  }
+  ASSERT_EQ(frame_start.size(), 9u);
+  frame_start.push_back(log.size());
+  auto commits_before = [&](size_t offset) {
+    int k = 0;
+    for (size_t i = 2; i < 9; i += 3) k += frame_start[i + 1] <= offset;
+    return k;
+  };
+  auto replay = [&](const Bytes& image) {
+    EXPECT_TRUE(WriteFileAtomic(path, image).ok());
+    return WriteAheadLog::Replay(path, kPs, options);
+  };
+  auto expect_prefix = [&](const StatusOr<WalRecoveredState>& state, int k,
+                           const std::string& what) {
+    ASSERT_TRUE(state.ok()) << what << ": " << state.status().message();
+    EXPECT_EQ(state->has_commit, k > 0) << what;
+    EXPECT_EQ(state->pages, pages_after[k]) << what;
+    if (k > 0) {
+      EXPECT_EQ(state->meta.num_pages, meta_after[k].num_pages) << what;
+      EXPECT_EQ(state->meta.root_record, meta_after[k].root_record) << what;
+    }
+  };
+
+  for (size_t cut = 0; cut <= log.size(); ++cut) {
+    expect_prefix(replay(Bytes(log.begin(), log.begin() + cut)),
+                  commits_before(cut), "cut at " + std::to_string(cut));
+  }
+
+  for (size_t i = 0; i < 9; ++i) {
+    const size_t body = frame_start[i] + kFramePrefix;
+    for (size_t pos = body + kBodyPrefix - 1; pos < frame_start[i + 1];
+         ++pos) {
+      for (int bit = 0; bit < 8; ++bit) {
+        Bytes bad = log;
+        bad[pos] ^= static_cast<uint8_t>(1u << bit);
+        const BytesView flipped(bad.data() + body, frame_start[i + 1] - body);
+        PutUint32Be(bad.data() + frame_start[i] + 4, Crc32(flipped));
+        const StatusOr<WalRecoveredState> state = replay(bad);
+        const std::string what = "octet " + std::to_string(pos) + " bit " +
+                                 std::to_string(bit);
+        ASSERT_FALSE(state.ok()) << what << " replayed";
+        ASSERT_EQ(state.status().code(), StatusCode::kAuthenticationFailed)
+            << what;
+      }
+    }
+  }
+
+  for (size_t i = 0; i < 9; ++i) {
+    auto expect_stop = [&](uint32_t hostile) {
+      Bytes bad = log;
+      PutUint32Be(bad.data() + frame_start[i], hostile);
+      const std::string what =
+          "frame " + std::to_string(i) + " body_len " + std::to_string(hostile);
+      expect_prefix(replay(bad), commits_before(frame_start[i]), what);
+    };
+    const uint32_t len = GetUint32Be(log.data() + frame_start[i]);
+    expect_stop(0);
+    expect_stop(1);
+    expect_stop(kBodyPrefix + kTag - 1);  // shorter than any sealed body
+    expect_stop(len - 1);
+    expect_stop(len + 1);
+    expect_stop(log.size() - frame_start[i] - kFramePrefix + 1);  // past EOF
+    expect_stop(kMaxBody);
+    expect_stop(kMaxBody + 1);
+    expect_stop(0x7fffffffu);
+    expect_stop(0xffffffffu);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
