@@ -279,11 +279,22 @@ Status FileStorageEngine::ApplyRecovery(const WalRecoveredState& recovered) {
 
 Status FileStorageEngine::SyncPageFile() {
   Metrics().page_file_syncs->Increment();
+  const uint64_t ticket = page_file_syncs_started_.fetch_add(1) + 1;
   if (::fsync(fd_) != 0) {
     return InternalError(std::string("page file fsync failed: ") +
                          std::strerror(errno));
   }
+  // Concurrent syncs may return out of ticket order; keep the highest.
+  uint64_t done = page_file_synced_through_.load();
+  while (done < ticket &&
+         !page_file_synced_through_.compare_exchange_weak(done, ticket)) {
+  }
   return OkStatus();
+}
+
+bool FileStorageEngine::UnloggedEvictionsSynced(const Stripe& stripe) const {
+  return stripe.unlogged_evictions.empty() ||
+         page_file_synced_through_.load() > stripe.unlogged_evicted_at;
 }
 
 // The disk helpers are positional (pread/pwrite) and touch no shared
@@ -357,7 +368,10 @@ StatusOr<BufferPool::Frame*> FileStorageEngine::InsertFrameLocked(
       // miss on this page faulted from disk first, it would read bytes
       // older than the frame it just lost the race to.
       SDBENC_RETURN_IF_ERROR(WritePageToDisk(victim.id, victim.data));
-      if (victim.unlogged) stripe.unlogged_evictions.push_back(victim.id);
+      if (victim.unlogged) {
+        stripe.unlogged_evictions.push_back(victim.id);
+        stripe.unlogged_evicted_at = page_file_syncs_started_.load();
+      }
     }
   }
   return stripe.pool.Insert(id, std::move(payload), dirty);
@@ -536,23 +550,23 @@ Status FileStorageEngine::Free(PageId id) {
 Status FileStorageEngine::CommitBatch() {
   if (wal_ == nullptr) return Flush();
   // Cover the unlogged pages before the commit record. Those evicted since
-  // the last durability point are already in the page file: one sync makes
-  // them durable. The rest are resident: their afterimages join the
-  // commit's fsync. Each stripe is settled under its latch, so a page is
-  // marked covered only once it has no unlogged frame left.
-  std::vector<size_t> evicted(stripes_.size());
-  bool any_evicted = false;
-  for (size_t i = 0; i < stripes_.size(); ++i) {
-    const MutexLock lock(stripes_[i]->mu);
-    evicted[i] = stripes_[i]->unlogged_evictions.size();
-    any_evicted = any_evicted || evicted[i] != 0;
+  // the last durability point are already in the page file: a sync that
+  // began after their write-back makes them durable, whichever committer
+  // issued it. The rest are resident: their afterimages join the commit's
+  // fsync. Each stripe is settled under its latch, so a page is marked
+  // covered only once it has no unlogged frame left.
+  bool need_sync = false;
+  for (const std::unique_ptr<Stripe>& stripe : stripes_) {
+    const MutexLock lock(stripe->mu);
+    need_sync = need_sync || !UnloggedEvictionsSynced(*stripe);
   }
-  if (any_evicted) SDBENC_RETURN_IF_ERROR(SyncPageFile());
-  for (size_t i = 0; i < stripes_.size(); ++i) {
-    Stripe& stripe = *stripes_[i];
+  if (need_sync) SDBENC_RETURN_IF_ERROR(SyncPageFile());
+  for (const std::unique_ptr<Stripe>& stripe_ptr : stripes_) {
+    Stripe& stripe = *stripe_ptr;
     const MutexLock lock(stripe.mu);
-    if (stripe.unlogged_evictions.size() > evicted[i]) {
-      // A concurrent writer's eviction landed after the sync began; the
+    if (!UnloggedEvictionsSynced(stripe)) {
+      // An eviction landed here after the latest returned sync began (a
+      // concurrent writer, or one racing another committer's sync); the
       // latch keeps any further one out until this stripe is settled.
       SDBENC_RETURN_IF_ERROR(SyncPageFile());
     }
@@ -570,14 +584,19 @@ Status FileStorageEngine::CommitBatch() {
     }
     stripe.unlogged_evictions.clear();
   }
-  WalCommitMeta meta;
+  uint64_t commit_lsn = 0;
   {
+    // Snapshot and append under one lock: replay keeps the last commit
+    // record's metadata, so a concurrent committer must not append an
+    // older snapshot after a newer one.
     const MutexLock meta_lock(meta_mu_);
+    WalCommitMeta meta;
     meta.num_pages = num_pages_.load(std::memory_order_acquire);
     meta.free_head = free_head_;
     meta.root_record = root_record_.load(std::memory_order_acquire);
+    SDBENC_ASSIGN_OR_RETURN(commit_lsn, wal_->AppendCommit(meta));
   }
-  return wal_->Commit(meta);
+  return wal_->WaitDurable(commit_lsn);
 }
 
 Status FileStorageEngine::Flush() {

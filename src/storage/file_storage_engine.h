@@ -163,6 +163,10 @@ class FileStorageEngine : public StorageEngine {
     /// Pages whose unlogged frames were written back since the last
     /// durability point; CommitBatch() syncs them and marks them covered.
     std::vector<PageId> unlogged_evictions SDB_GUARDED_BY(mu);
+    /// `page_file_syncs_started_` as read right after the latest of those
+    /// write-backs: once `page_file_synced_through_` exceeds it, a sync
+    /// that began after every one of them has returned.
+    uint64_t unlogged_evicted_at SDB_GUARDED_BY(mu) = 0;
     explicit Stripe(size_t capacity) : pool(capacity) {}
   };
 
@@ -210,6 +214,12 @@ class FileStorageEngine : public StorageEngine {
   /// covering unlogged evictions all come through here.
   Status SyncPageFile();
 
+  /// Whether every unlogged write-back noted on `stripe` is durable: a
+  /// page-file sync that began after the latest one has returned. Any
+  /// committer's sync counts, so concurrent commits share one.
+  bool UnloggedEvictionsSynced(const Stripe& stripe) const
+      SDB_REQUIRES(stripe.mu);
+
   Status WritePageToDisk(PageId id, BytesView payload);
   Status ReadPageFromDisk(PageId id, Bytes* payload);
   Status WriteHeader() SDB_REQUIRES(meta_mu_);
@@ -228,6 +238,10 @@ class FileStorageEngine : public StorageEngine {
   PageId free_head_ SDB_GUARDED_BY(meta_mu_) = kInvalidPageId;
   std::atomic<uint64_t> root_record_{0};
   StorageStats stats_;
+  /// Page-file sync tickets: how many syncs have begun, and the highest
+  /// ticket whose fsync has returned. Both only grow.
+  std::atomic<uint64_t> page_file_syncs_started_{0};
+  std::atomic<uint64_t> page_file_synced_through_{0};
 
   std::unique_ptr<WriteAheadLog> wal_;
   /// Checkpoint bookkeeping; wal_mu_ nests inside stripe locks

@@ -6,6 +6,8 @@
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -13,8 +15,12 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/secure_database.h"
@@ -30,6 +36,20 @@
 #define SDBENC_TSAN 1
 #endif
 #endif
+
+namespace sdbenc {
+namespace {
+void RecordFsync(int fd);
+}  // namespace
+}  // namespace sdbenc
+
+// This binary replaces the C library's fsync() so that the PowerCut
+// recorder below sees every sync, the engine's and the WAL's alike.
+extern "C" int fsync(int fd) {
+  const int rc = static_cast<int>(::syscall(SYS_fsync, fd));
+  if (rc == 0) sdbenc::RecordFsync(fd);
+  return rc;
+}
 
 namespace sdbenc {
 namespace {
@@ -396,6 +416,208 @@ TEST(FileEngineRecoveryTest, SyncCoveredPageSurvivesUncommittedEviction) {
     EXPECT_EQ(back, PatternPage(kPs, static_cast<uint8_t>(100 + i))) << i;
   }
   reopened->reset();
+  ::unlink(path.c_str());
+  ::unlink((path + ".wal").c_str());
+}
+
+// ------------------------------------------------------ simulated power cut
+
+// A killed process loses nothing it wrote, because the OS page cache
+// outlives it, so the kill-and-reopen tests below cannot see a write that
+// was never fsynced. A power cut can. While a PowerCut is armed, every
+// fsync of a watched file records the file's bytes as the sync returns
+// (a write racing the sync may or may not be included, as on a disk), and
+// Synced() hands back the last bytes recorded: what a power cut leaves.
+class PowerCut {
+ public:
+  /// Arms the recorder; the files' current bytes count as synced.
+  explicit PowerCut(std::vector<std::string> files)
+      : files_(std::move(files)) {
+    for (const std::string& file : files_) {
+      auto bytes = ReadFile(file);
+      synced_[file] = bytes.ok() ? *bytes : Bytes();
+    }
+    armed_.store(this);
+  }
+  ~PowerCut() { armed_.store(nullptr); }
+  PowerCut(const PowerCut&) = delete;
+  PowerCut& operator=(const PowerCut&) = delete;
+
+  /// Runs `hook` once, on the thread whose next fsync of `file` has just
+  /// returned, before that thread goes on.
+  void AfterNextSync(const std::string& file, std::function<void()> hook) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    hook_file_ = file;
+    hook_ = std::move(hook);
+  }
+
+  /// The last synced bytes of every watched file, taken at one instant.
+  std::map<std::string, Bytes> Synced() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return synced_;
+  }
+
+  static void Record(int fd) {
+    PowerCut* cut = armed_.load();
+    if (cut != nullptr) cut->RecordSync(fd);
+  }
+
+ private:
+  void RecordSync(int fd) {
+    struct stat synced_file;
+    if (::fstat(fd, &synced_file) != 0) return;
+    std::function<void()> hook;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      for (const std::string& file : files_) {
+        struct stat watched;
+        if (::stat(file.c_str(), &watched) != 0 ||
+            watched.st_dev != synced_file.st_dev ||
+            watched.st_ino != synced_file.st_ino) {
+          continue;
+        }
+        auto bytes = ReadFile(file);
+        if (bytes.ok()) synced_[file] = std::move(*bytes);
+        if (file == hook_file_) hook = std::exchange(hook_, nullptr);
+      }
+    }
+    if (hook) hook();
+  }
+
+  static inline std::atomic<PowerCut*> armed_{nullptr};
+  const std::vector<std::string> files_;
+  std::mutex mu_;
+  std::map<std::string, Bytes> synced_;
+  std::string hook_file_;
+  std::function<void()> hook_;
+};
+
+void RecordFsync(int fd) { PowerCut::Record(fd); }
+
+// Opens what a power cut at this instant leaves of `path` and its log,
+// copied to `copy`.
+StatusOr<std::unique_ptr<FileStorageEngine>> OpenAfterPowerCut(
+    PowerCut& cut, const std::string& path, const std::string& copy,
+    const FileStorageEngine::Options& options) {
+  std::map<std::string, Bytes> synced = cut.Synced();
+  SDBENC_RETURN_IF_ERROR(WriteFileAtomic(copy, synced[path]));
+  SDBENC_RETURN_IF_ERROR(
+      WriteFileAtomic(copy + ".wal", synced[path + ".wal"]));
+  return FileStorageEngine::Open(copy, options);
+}
+
+// Two commits overlap. While commit A's page-file sync is in flight,
+// commit B settles the stripe and clears its eviction list, and then a
+// writer evicts two fresh pages unlogged. A's sync began before those
+// write-backs, so A must sync again before marking them covered: the
+// writer's own commit finds nothing left to cover and relies on it.
+TEST(FileEngineRecoveryTest, OverlappingCommitsSyncEveryUnloggedEviction) {
+  const std::string path = TempPath("sdbenc_engine_overlap.pages");
+  const std::string copy = path + ".cut";
+  std::vector<Bytes> expected;  // indexed by page id
+  auto engine = FileStorageEngine::Create(path, WalEngineOptions());
+  ASSERT_TRUE(engine.ok());
+  FileStorageEngine& e = **engine;
+  auto write_fresh_pages = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      auto id = e.Allocate();
+      ASSERT_TRUE(id.ok());
+      ASSERT_EQ(*id, expected.size());
+      expected.push_back(PatternPage(kPs, static_cast<uint8_t>(*id)));
+      ASSERT_TRUE(e.Write(*id, expected.back()).ok());
+    }
+  };
+  write_fresh_pages(1);
+  ASSERT_TRUE(e.Flush().ok());  // a synced image and an empty log
+  PowerCut cut({path, path + ".wal"});
+  // The 8-frame pool writes back pages 1-3 unlogged.
+  write_fresh_pages(11);
+  cut.AfterNextSync(path, [&] {
+    ASSERT_TRUE(e.CommitBatch().ok());  // B
+    // Pages 4-11 now have afterimages; 12 and 13 leave unlogged.
+    write_fresh_pages(10);
+  });
+  ASSERT_TRUE(e.CommitBatch().ok());  // A
+  ASSERT_TRUE(e.CommitBatch().ok());  // the writer's commit
+  auto reopened = OpenAfterPowerCut(cut, path, copy, WalEngineOptions());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  ASSERT_EQ((*reopened)->num_pages(), expected.size());
+  for (PageId id = 0; id < expected.size(); ++id) {
+    Bytes back;
+    ASSERT_TRUE((*reopened)->Read(id, &back).ok()) << "page " << id;
+    EXPECT_EQ(back, expected[id]) << "page " << id;
+  }
+  reopened->reset();
+  engine->reset();
+  for (const std::string& f : {path, path + ".wal", copy, copy + ".wal"}) {
+    ::unlink(f.c_str());
+  }
+}
+
+// Threads write fresh pages and commit at once through a small striped
+// pool, so unlogged evictions race other threads' commits. The moment a
+// commit returns, its thread cuts the power on a copy: every page that
+// thread has committed must read back.
+TEST(FileEngineRecoveryTest, ConcurrentCommittersLoseNothingToPowerCut) {
+  constexpr int kThreads = 4;
+  constexpr int kCommits = 30;
+  constexpr int kPagesPerCommit = 3;
+  const std::string path = TempPath("sdbenc_engine_power_cut.pages");
+  FileStorageEngine::Options options = WalEngineOptions();
+  options.pool_pages = 16;  // two stripes of 8 frames
+  auto engine = FileStorageEngine::Create(path, options);
+  ASSERT_TRUE(engine.ok());
+  FileStorageEngine& e = **engine;
+  ASSERT_TRUE(e.Flush().ok());
+  PowerCut cut({path, path + ".wal"});
+  auto tagged_page = [](uint64_t tag) {
+    Bytes page = PatternPage(kPs, static_cast<uint8_t>(tag));
+    PutUint64Be(page.data(), tag);
+    return page;
+  };
+  std::vector<std::string> errors(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::string copy = path + ".cut" + std::to_string(t);
+      std::vector<std::pair<PageId, uint64_t>> committed;
+      for (int c = 0; c < kCommits && errors[t].empty(); ++c) {
+        for (int p = 0; p < kPagesPerCommit; ++p) {
+          auto id = e.Allocate();
+          const uint64_t tag = (uint64_t{1} << 32) * t + c * 16 + p;
+          if (!id.ok() || !e.Write(*id, tagged_page(tag)).ok()) {
+            errors[t] = "write failed";
+            return;
+          }
+          committed.emplace_back(*id, tag);
+        }
+        if (!e.CommitBatch().ok()) {
+          errors[t] = "commit failed";
+          return;
+        }
+        auto reopened = OpenAfterPowerCut(cut, path, copy, options);
+        if (!reopened.ok()) {
+          errors[t] = "reopen failed: " + reopened.status().message();
+          return;
+        }
+        for (const auto& [id, tag] : committed) {
+          Bytes back;
+          if (!(*reopened)->Read(id, &back).ok() || back != tagged_page(tag)) {
+            errors[t] = "commit " + std::to_string(c) + " lost page " +
+                        std::to_string(id);
+            break;
+          }
+        }
+      }
+      ::unlink(copy.c_str());
+      ::unlink((copy + ".wal").c_str());
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(errors[t], "") << "thread " << t;
+  }
+  engine->reset();
   ::unlink(path.c_str());
   ::unlink((path + ".wal").c_str());
 }
