@@ -31,7 +31,11 @@
 #include "util/file.h"
 #include "util/rng.h"
 
-#if defined(__has_feature)
+// gcc announces TSan with __SANITIZE_THREAD__, clang through
+// __has_feature.
+#if defined(__SANITIZE_THREAD__)
+#define SDBENC_TSAN 1
+#elif defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define SDBENC_TSAN 1
 #endif
